@@ -30,4 +30,5 @@ class ParseError(DioidError):
 
 
 class DivergenceWarning(UserWarning):
-    """Entries were saturated to the bottom element at the iteration cap."""
+    """A meet closure met a strictly decreasing dual circuit; the entries it
+    reaches are exactly the bottom element."""

@@ -19,6 +19,9 @@ Conventions:
 * ``wedge_closure``: B_* = E° (^) B (^) B°2 (^) ... (dual identity E°:
   unit diagonal, top elsewhere)
 
+Both closures are one Gauss-Jordan elimination, exact in O(n^3) scalar
+operations; the meet closure runs it over the order dual of the semiring.
+
 Shape mismatches raise; there is no broadcasting.
 """
 
@@ -225,44 +228,74 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ShapeError(f"{what}: requires a square matrix, got {a.rows}x{a.cols}")
 
 
-def kleene_star(a: Matrix) -> Matrix:
-    """A* = E (+) A (+) A^2 (+) ... by Gauss-Jordan elimination.
+def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
+    """E (+) A (+) A^2 (+) ... over the operation table ``ops`` by Gauss-Jordan
+    elimination.
 
     One pass per pivot, closing the pivot's diagonal entry with the scalar
-    star; over max-plus scalars a circuit of positive weight saturates the
-    entries it reaches to top.
+    star.  Also returns the 0-based pivots whose star saturated: a diagonal
+    entry other than ``ops.top`` whose star is ``ops.top`` sits on a circuit
+    that improves without bound.
     """
-    _require_square(a, "kleene_star")
-    sr = a.semiring
     n = a.rows
+    eps, oplus, otimes, star = ops.eps, ops.oplus, ops.otimes, ops.star
     m = [list(row) for row in a.to_rows()]
+    saturated = []
     for k in range(n):
-        skk = sr.star(m[k][k])
+        skk = star(m[k][k])
+        if skk == ops.top and m[k][k] != ops.top:
+            saturated.append(k)
         for i in range(n):
-            ik = sr.otimes(m[i][k], skk)
-            if ik == sr.eps:
+            ik = otimes(m[i][k], skk)
+            if ik == eps:
                 continue
             row_k = m[k]
             row_i = m[i]
             for j in range(n):
-                row_i[j] = sr.oplus(row_i[j], sr.otimes(ik, row_k[j]))
+                row_i[j] = oplus(row_i[j], otimes(ik, row_k[j]))
     for i in range(n):
-        m[i][i] = sr.oplus(m[i][i], sr.one)
-    return Matrix(sr, n, n, tuple(x for row in m for x in row))
+        m[i][i] = oplus(m[i][i], ops.one)
+    return Matrix(a.semiring, n, n, tuple(x for row in m for x in row)), saturated
 
 
-def wedge_closure(b: Matrix, cap: int | None = None) -> Matrix:
-    """B_* = E° (^) B (^) B°2 (^) ... iterated to the fixpoint.
+class _OrderDual:
+    """A semiring read upside down: (+) <-> (^), (x) <-> (.), eps <-> top.
 
-    Entries still moving at the iteration cap sit on a strictly improving
-    dual circuit, so their infinite meet is the bottom element: they are
-    reported as eps and a ``DivergenceWarning`` is emitted.
+    Its scalar star is the meet closure one (^) p (^) p(.)p (^) ..., which is
+    one when one <= p and eps otherwise.  That is exact over max-plus scalars
+    and over eps, top and monomials with a finite coefficient; meets and dual
+    products keep elimination inside that set.
+    """
+
+    def __init__(self, sr) -> None:
+        one, eps, leq = sr.one, sr.eps, sr.leq
+        self.eps, self.top, self.one = sr.top, eps, one
+        self.oplus, self.otimes = sr.wedge, sr.odot
+        self.star = lambda p: one if leq(one, p) else eps
+
+
+def kleene_star(a: Matrix) -> Matrix:
+    """A* = E (+) A (+) A^2 (+) ...
+
+    Over max-plus scalars a circuit of positive weight saturates the entries
+    it reaches to top.
+    """
+    _require_square(a, "kleene_star")
+    return _gauss_jordan(a.semiring, a)[0]
+
+
+def wedge_closure(b: Matrix) -> Matrix:
+    """B_* = E° (^) B (^) B°2 (^) ...: the Kleene star over the order dual.
+
+    A strictly decreasing dual circuit drives the entries it reaches to eps;
+    when one is found a ``DivergenceWarning`` names its pivots.  Interval
+    matrices are closed bound by bound.
     """
     _require_square(b, "wedge_closure")
     sr = b.semiring
     if sr.kind == "interval":
-        lo = wedge_closure(_bound_matrix(b, 0), cap)
-        hi = wedge_closure(_bound_matrix(b, 1), cap)
+        lo = wedge_closure(_bound_matrix(b, 0))
+        hi = wedge_closure(_bound_matrix(b, 1))
         return _join_bounds(sr, lo, hi)
     for idx, entry in enumerate(b.entries):
         if not sr.odot_left_ok(entry):
@@ -270,29 +303,16 @@ def wedge_closure(b: Matrix, cap: int | None = None) -> Matrix:
                 f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
                 "is not a monomial, eps or top"
             )
-    n = b.rows
-    if cap is None:
-        cap = max(2 * n * n, 4)
-    c = dual_identity(sr, n)
-    last_change = [0] * (n * n)
-    for it in range(1, cap + 1):
-        nxt = mat_wedge(c, mat_odot(c, b))
-        if nxt == c:
-            return c
-        for idx, (old, new) in enumerate(zip(c.entries, nxt.entries)):
-            if old != new:
-                last_change[idx] = it
-        c = nxt
-    entries = tuple(
-        sr.eps if last_change[idx] > cap - n else val for idx, val in enumerate(c.entries)
-    )
-    warnings.warn(
-        "wedge_closure: entries on a strictly improving dual circuit were "
-        "saturated to eps at the iteration cap",
-        DivergenceWarning,
-        stacklevel=2,
-    )
-    return Matrix(sr, n, n, entries)
+    out, saturated = _gauss_jordan(_OrderDual(sr), b)
+    if saturated:
+        pivots = ", ".join(str(k + 1) for k in saturated)
+        warnings.warn(
+            f"wedge_closure: strictly decreasing dual circuits close at pivot(s) "
+            f"{pivots}; the entries they reach are eps",
+            DivergenceWarning,
+            stacklevel=2,
+        )
+    return out
 
 
 def _bound_matrix(a: Matrix, side: int) -> Matrix:

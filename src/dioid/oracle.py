@@ -111,12 +111,14 @@ def smallest_supersolution(a: Matrix, b: Matrix, grid: Grid) -> Matrix:
     return Matrix(ZMAX, a.cols, b.cols, tuple(out))
 
 
-def star_by_powers(a: Matrix, k_max: int) -> Matrix:
-    """E (+) A (+) ... (+) A^k_max with growth detection.
+def star_by_powers(a: Matrix) -> Matrix:
+    """E (+) A (+) A^2 (+) ... from explicit powers and circuit detection.
 
-    An entry that still improves at a step >= n (the dimension) improves
-    through a circuit of positive weight, hence diverges: it is set to top.
-    ``k_max`` should be at least n + 1 for the detection to be conclusive.
+    The sum up to A^(n-1) holds every simple path.  A node is hot when it
+    lies on a circuit of positive (or top) weight, which shows as a diagonal
+    entry above the unit in one of A^1 .. A^n; an entry is top exactly when
+    some walk between its ends passes through a hot node, and otherwise the
+    best walk is a simple path.
     """
     _require_zmax(a, "star_by_powers")
     if a.rows != a.cols:
@@ -124,16 +126,18 @@ def star_by_powers(a: Matrix, k_max: int) -> Matrix:
     n = a.rows
     total = identity(ZMAX, n)
     power = identity(ZMAX, n)
-    last_change = [0] * (n * n)
-    for step in range(1, k_max + 1):
+    hot = set()
+    for k in range(1, n + 1):
         power = mat_otimes(power, a)
-        nxt = mat_oplus(total, power)
-        for idx, (old, new) in enumerate(zip(total.entries, nxt.entries)):
-            if old != new:
-                last_change[idx] = step
-        total = nxt
+        hot.update(c for c in range(n) if zmax.lt(0, power.at(c, c)))
+        if k < n:
+            total = mat_oplus(total, power)
     entries = tuple(
-        TOP if last_change[idx] >= n else val for idx, val in enumerate(total.entries)
+        TOP
+        if any(total.at(i, c) is not EPS and total.at(c, j) is not EPS for c in hot)
+        else total.at(i, j)
+        for i in range(n)
+        for j in range(n)
     )
     return Matrix(ZMAX, n, n, entries)
 

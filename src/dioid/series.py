@@ -667,16 +667,6 @@ def format_series(s: Series) -> str:
     return "+".join(parts)
 
 
-def _parse_coeff(text: str) -> Scalar:
-    if text == "top":
-        return TOP
-    if text == "eps":
-        return EPS
-    if text == "e":
-        return 0
-    return int(text)
-
-
 def parse_series(text: str) -> Series:
     """Parse the series grammar: monomials ``T.gN`` joined by ``+`` with an
     optional periodic suffix ``.(T.gN)*`` per monomial; ``eps``, ``top`` and
@@ -703,12 +693,11 @@ def parse_series(text: str) -> Series:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"invalid series term {term!r} at offset {offset}")
-        coeff = _parse_coeff(m.group("t"))
-        mono = Monomial(coeff, int(m.group("n")))
+        mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))
         if m.group("pt") is None:
             out = s_oplus(out, from_monomials([mono]))
         else:
-            period = Monomial(int(m.group("pt")), int(m.group("pn")))
+            period = Monomial(zmax.parse_int(m.group("pt")), zmax.parse_int(m.group("pn")))
             try:
                 out = s_oplus(out, pattern_series([mono], period))
             except SeriesDomainError as exc:

@@ -165,8 +165,18 @@ def parse_scalar(text: str) -> Scalar:
     if text == "e":
         return 0
     if _INT_RE.match(text):
-        return int(text)
+        return parse_int(text)
     raise ParseError(f"invalid scalar literal {text!r}")
+
+
+def parse_int(text: str) -> int:
+    """A signed decimal integer; one too long for the interpreter to convert
+    is a ``ParseError``, not a ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise ParseError(f"integer literal of {digits} digits is too long to convert") from None
 
 
 def format_scalar(a: Scalar) -> str:

@@ -64,6 +64,12 @@ class TestMaxPlusCommands:
         assert main(["verify", "dualres", c, b]) == 0
         assert "oracle agrees" in capsys.readouterr().out
 
+    def test_verify_star_through_positive_loop(self, workdir, capsys):
+        _, write = workdir
+        a = write("a.mat", "2 2\neps -5\n-5 1\n")
+        assert main(["verify", "star", a]) == 0
+        assert capsys.readouterr().out == "verify star: oracle agrees\n"
+
     def test_verify_rejects_series(self, workdir, capsys):
         _, write = workdir
         a = write("a.mat", "1 1\n1.g1\n")
@@ -128,6 +134,16 @@ class TestExitCodes:
         bad = write("bad.mat", "1 1\nfrog\n")
         assert main(["star", bad]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,literal", [("maxplus", "9" * 5000),
+                                              ("series", "9" * 5000 + ".g0")])
+    def test_overlong_integer_is_parse_error(self, workdir, capsys, kind, literal):
+        _, write = workdir
+        big = write("big.mat", f"1 1\n{literal}\n")
+        assert main(["star", big, "--type", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "parse error" in err and "line 2, entry 1" in err
 
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir

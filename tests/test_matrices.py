@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
@@ -28,6 +29,7 @@ from dioid import (
     mat_wedge,
     negate_transpose,
     right_residual,
+    star_by_powers,
     top_matrix,
     wedge_closure,
 )
@@ -269,6 +271,31 @@ class TestWedgeClosure:
         assert out.at(0, 0) is EPS
         assert out.at(1, 1) == 0
 
+    @pytest.mark.parametrize("rows", [
+        # the dual loop 1 -> 1 of weight -1 lets 0 -> 1 -> (1 -> 1)^k -> 0 weigh 8 - k
+        [[TOP, 5], [3, -1]],
+        [[TOP, 9, TOP, 0], [TOP, TOP, 7, 4], [-4, 7, 4, TOP], [6, 7, 3, 0]],
+        [[3, TOP, 1, TOP], [TOP, 5, TOP, 7], [-2, 8, 7, TOP], [6, TOP, TOP, 1]],
+    ])
+    def test_slow_divergence_saturates(self, rows):
+        # a negative dual circuit is reachable from, and reaches, every node
+        with pytest.warns(DivergenceWarning, match="pivot"):
+            out = wedge_closure(from_rows(ZMAX, rows))
+        assert out == from_rows(ZMAX, [[EPS] * len(rows)] * len(rows))
+
+    def test_conjugate_of_star_oracle(self):
+        # B_* is the entrywise conjugate of the star of the entrywise conjugate
+        def conj(m):
+            return Matrix(ZMAX, m.rows, m.cols, tuple(map(zmax.conj, m.entries)))
+
+        rng = random.Random(15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            for _ in range(600):
+                n = rng.randint(1, 6)
+                b = rand_matrix(rng, n, n, lo=-4, hi=6, p_eps=0.15, p_top=0.35)
+                assert wedge_closure(b) == conj(star_by_powers(conj(b))), b
+
 
 # ---------------------------------------------------------------------------
 # monomial matrix meet closure (series entries)
@@ -324,6 +351,16 @@ class TestMonomialClosureExample:
 
         got = wedge_closure(B_MONO)
         assert all(is_monomial(e) or is_eps(e) or is_top(e) for e in got.entries)
+
+    def test_non_neutral_monomial_loop_saturates(self):
+        with pytest.warns(DivergenceWarning, match="pivot"):
+            out = wedge_closure(series_matrix(["3.g1"]))
+        assert out == series_matrix(["eps"])
+
+    def test_unit_loop_is_stable(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DivergenceWarning)
+            assert wedge_closure(series_matrix(["e"])) == series_matrix(["e"])
 
     def test_non_monomial_entries_rejected(self):
         bad = series_matrix(["top 1.g0+3.g2", "top top"])

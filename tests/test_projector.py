@@ -83,13 +83,18 @@ class TestMembership:
     def test_eps_always_solves(self):
         rng = random.Random(31)
         a, b, _ = rand_problem(rng)
-        assert membership(a, b, eps_matrix(ZMAX, 2, 1), deep=True)
+        x = eps_matrix(ZMAX, 2, 1)
+        assert membership(a, b, x)
+        assert mat_otimes(kleene_star(a), x) == x
+        assert mat_odot(wedge_closure(b), x) == x
 
     def test_direct_and_fixed_point_paths_agree(self):
         rng = random.Random(32)
         for _ in range(60):
             a, b, x0 = rand_problem(rng)
-            membership(a, b, x0, deep=True)  # raises on disagreement
+            via_star = mat_otimes(kleene_star(a), x0) == x0
+            via_closure = mat_odot(wedge_closure(b), x0) == x0
+            assert membership(a, b, x0) == (via_star and via_closure)
 
     def test_shape_mismatch(self):
         rng = random.Random(33)
@@ -223,4 +228,6 @@ class TestIntervalProjector:
         x0 = im(["[10,14]"] * 5)
         p = interval_project(a, b, x0)
         assert not membership(a, b, x0)
-        assert membership(a, b, p, deep=True)
+        assert membership(a, b, p)
+        assert mat_otimes(kleene_star(a), p) == p
+        assert mat_odot(wedge_closure(b), p) == p

@@ -158,6 +158,17 @@ class TestDualOps:
         with pytest.raises(SeriesDomainError):
             mono_dualres(g("1.g0+3.g2"), g("0.g0"))
 
+    def test_associativity_condition_on_monomials(self):
+        # b %% (a (x) x) = (b %% a) (x) x: the projector's hypothesis
+        rng = random.Random(107)
+
+        def mono():
+            return from_monomials([Monomial(rng.randint(-6, 6), rng.randint(-3, 5))])
+
+        for _ in range(300):
+            b, a, x = mono(), mono(), mono()
+            assert mono_dualres(b, s_otimes(a, x)) == s_otimes(mono_dualres(b, a), x)
+
 
 class TestPointwiseOracle:
     """Implementation vs direct computation from the raw monomial semantics."""
