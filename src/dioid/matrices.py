@@ -301,7 +301,7 @@ def wedge_closure(b: Matrix) -> Matrix:
         if not sr.odot_left_ok(entry):
             raise SeriesDomainError(
                 f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
-                "is not a monomial, eps or top"
+                "is not eps, top or a monomial with a finite coefficient"
             )
     out, saturated = _gauss_jordan(_OrderDual(sr), b)
     if saturated:

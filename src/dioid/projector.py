@@ -7,10 +7,11 @@ inequalities.  It is sound whenever the scalar associativity condition
 
 holds for every entry b of the meet-closure of B: this is automatic over
 max-plus scalars and holds over gamma-series exactly when the entries of B
-are monomials (or eps/top), because the dual product by a proper
-multi-step series is not even well defined.  ``check_hypothesis`` decides
-that condition; ``project`` refuses to run without it, since the computed
-point is only guaranteed maximal under the condition.
+are eps, top or monomials with a finite coefficient: the dual product by a
+proper multi-step series is not even well defined, and a top coefficient
+absorbs like top.  ``check_hypothesis`` decides that condition; ``project``
+refuses to run without it, since the computed point is only guaranteed
+maximal under the condition.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def check_hypothesis(b: Matrix) -> bool:
 
     The condition is structural: every entry must be a left operand the dual
     product accepts.  That always holds over max-plus scalars, holds over
-    gamma-series iff every entry is a monomial, eps or top, and is checked
-    on both bounds over intervals.
+    gamma-series iff every entry is eps, top or a monomial with a finite
+    coefficient, and is checked on both bounds over intervals.
     """
     return all(map(b.semiring.odot_left_ok, b.entries))
 
@@ -96,7 +97,7 @@ def project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
     if not check_hypothesis(b):
         raise HypothesisError(
             "projector: the associativity condition fails for B "
-            "(over series all entries must be monomials, eps or top)"
+            "(over series all entries must be eps, top or finite monomials)"
         )
     return left_residual(projector_matrix(a, b), x0)
 

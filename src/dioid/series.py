@@ -522,7 +522,11 @@ def _require_dual_left(m: Series) -> None:
 
 
 def mono_odot(m: Series, s: Series) -> Series:
-    """Dual product of a monomial with a series: a coefficient/exponent shift."""
+    """Dual product of a monomial with a series: a coefficient/exponent shift.
+
+    A top coefficient absorbs like top (top (.) eps = top), so the result is
+    top at every exponent.
+    """
     _require_dual_left(m)
     if m.all_top:
         return S_TOP
@@ -750,7 +754,9 @@ class _GammaSemiring:
 
     @staticmethod
     def odot_left_ok(a: Series) -> bool:
-        return is_eps(a) or a.all_top or is_monomial(a)
+        # top.gN (.) e is top everywhere, not top.gN: such a monomial has no
+        # dual unit, so closures and projectors must not take it.
+        return is_eps(a) or a.all_top or (is_monomial(a) and a.transient[0].coeff is not TOP)
 
     def __repr__(self) -> str:
         return "GAMMA"

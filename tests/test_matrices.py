@@ -14,10 +14,14 @@ from dioid import (
     ZMAX,
     DivergenceWarning,
     Matrix,
+    Monomial,
+    S_EPS,
+    S_TOP,
     dual_identity,
     dual_power,
     dual_residual,
     eps_matrix,
+    from_monomials,
     from_rows,
     identity,
     kleene_star,
@@ -366,6 +370,71 @@ class TestMonomialClosureExample:
         bad = series_matrix(["top 1.g0+3.g2", "top top"])
         with pytest.raises(SeriesDomainError):
             wedge_closure(bad)
+
+    @pytest.mark.parametrize("rows", [["top.g3"], ["top.g0"], ["-1.g0 top", "top.g3 top"]])
+    def test_top_coefficient_monomials_rejected(self, rows):
+        # top.gN (.) e is top, so E° is no dual unit for top.gN.  Reading
+        # top.gN as a shift instead is not meet-continuous: in the 2x2 case
+        # the loop -1.g0 closes to eps, yet every path 2 -> 1 weighs top.g3.
+        with pytest.raises(SeriesDomainError, match="finite coefficient"):
+            wedge_closure(series_matrix(rows))
+
+
+def closure_by_paths(b):
+    """B_* of a series matrix with eps, top and finite monomial entries.
+
+    A path weighs the dual product of its entries: eps if it uses an eps
+    entry, else the monomial (sum of t, sum of n); a meet of monomials is
+    (min t, max n).  So B_* reads off the max-plus stars of -t and of n, in
+    which an eps entry of B is top and a top entry is no edge; top in
+    either star (an eps entry or an unbounded meet on the way) gives eps.
+    """
+    def weights(pick):
+        return Matrix(ZMAX, b.rows, b.cols, tuple(
+            EPS if s.all_top else TOP if s == S_EPS else pick(s.transient[0])
+            for s in b.entries
+        ))
+
+    t_star = star_by_powers(weights(lambda m: -m.coeff))
+    n_star = star_by_powers(weights(lambda m: m.exp))
+    out = []
+    for t, n in zip(t_star.entries, n_star.entries):
+        if t is TOP or n is TOP:
+            out.append(S_EPS)
+        elif t is EPS:
+            out.append(S_TOP)
+        else:
+            out.append(from_monomials([Monomial(-t, n)]))
+    return Matrix(GAMMA, b.rows, b.cols, tuple(out))
+
+
+class TestMonomialClosureOracle:
+    def test_random_monomial_matrices(self):
+        rng = random.Random(16)
+
+        def entry():
+            u = rng.random()
+            if u < 0.1:
+                return S_EPS
+            if u < 0.45:
+                return S_TOP
+            return from_monomials([Monomial(rng.randint(-3, 3), rng.randint(-2, 2))])
+
+        for _ in range(500):
+            n = rng.randint(1, 4)
+            b = Matrix(GAMMA, n, n, tuple(entry() for _ in range(n * n)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DivergenceWarning)
+                out = wedge_closure(b)
+            assert out == closure_by_paths(b), b
+            if not caught:
+                # nothing saturated: paths of fewer than 2n steps (one through
+                # an eps entry, if any) reach every meet
+                power = meet = dual_identity(GAMMA, n)
+                for _ in range(2 * n - 1):
+                    power = mat_odot(b, power)
+                    meet = mat_wedge(meet, power)
+                assert out == meet, b
 
 
 class TestSeriesMatrixStar:

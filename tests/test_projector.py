@@ -60,6 +60,13 @@ class TestHypothesis:
         b = series_matrix(["top 1.g0+3.g2", "3.g0 top"])
         assert not check_hypothesis(b)
 
+    def test_top_coefficient_monomial_fails(self):
+        # top.g3 (.) e is top, not top.g3: the dual identity is no unit for it
+        b = series_matrix(["top top.g3", "3.g0 top"])
+        assert not check_hypothesis(b)
+        with pytest.raises(HypothesisError):
+            project(eps_matrix(GAMMA, 2, 2), b, series_matrix(["5.g0", "4.g0"]))
+
     def test_dual_product_by_polynomial_is_representation_dependent(self):
         """The meet-of-shifts extension of the dual product depends on the
         chosen representation of the same element, so no sound operation

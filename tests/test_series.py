@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dioid import (
+    GAMMA,
     Monomial,
     S_EPS,
     S_ONE,
@@ -168,6 +169,36 @@ class TestDualOps:
         for _ in range(300):
             b, a, x = mono(), mono(), mono()
             assert mono_dualres(b, s_otimes(a, x)) == s_otimes(mono_dualres(b, a), x)
+
+
+    def test_accepted_left_operands_obey_dual_laws(self):
+        # unit, distributivity and associativity on the operands odot_left_ok
+        # accepts: the meet closure's elimination relies on them
+        rng = random.Random(108)
+
+        def operand():
+            u = rng.random()
+            if u < 0.1:
+                return S_EPS
+            if u < 0.2:
+                return S_TOP
+            return from_monomials([Monomial(rng.randint(-6, 6), rng.randint(-3, 5))])
+
+        for _ in range(300):
+            a, b, x = operand(), operand(), operand()
+            s, t = rand_series(rng), rand_series(rng)
+            assert GAMMA.odot_left_ok(a)
+            assert mono_odot(a, S_ONE) == a
+            assert mono_odot(s_wedge(a, b), x) == s_wedge(mono_odot(a, x), mono_odot(b, x))
+            assert mono_odot(a, s_wedge(s, t)) == s_wedge(mono_odot(a, s), mono_odot(a, t))
+            assert mono_odot(mono_odot(a, b), x) == mono_odot(a, mono_odot(b, x))
+
+    def test_top_coefficient_left_operand_has_no_dual_unit(self):
+        # top absorbs eps under the dual product, so top.g3 (.) e is top
+        # everywhere; closures and projectors must refuse such entries
+        for text in ("top.g3", "top.g0", "top.g-2"):
+            assert mono_odot(g(text), S_ONE) == S_TOP
+            assert not GAMMA.odot_left_ok(g(text))
 
 
 class TestPointwiseOracle:
