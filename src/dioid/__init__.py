@@ -82,7 +82,6 @@ from .series import (
     s_lres,
     s_oplus,
     s_otimes,
-    s_rres,
     s_star,
     s_wedge,
     sigma_inf,

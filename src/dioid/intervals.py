@@ -112,11 +112,6 @@ class IntervalSemiring:
         up = b.lres(a.hi, x.hi)
         return Interval(b.wedge(b.lres(a.lo, x.lo), up), up)
 
-    def rres(self, a: Interval, x: Interval) -> Interval:
-        b = self.base
-        up = b.rres(a.hi, x.hi)
-        return Interval(b.wedge(b.rres(a.lo, x.lo), up), up)
-
     def dualres(self, a: Interval, x: Interval) -> Interval:
         """Smallest interval y with a (.) y >= x."""
         b = self.base

@@ -11,13 +11,26 @@ Conventions:
 * ``left_residual(A, B)``:  greatest X with A (x) X <= B,
   entrywise  min_k  a_ki \\ b_kj
 * ``right_residual(C, A)``: greatest X with X (x) A <= C,
-  entrywise  min_k  c_ik / a_jk
+  entrywise  min_k  c_ik / a_jk  (= a_jk \\ c_ik, since (x) commutes)
 * ``dual_residual(A, X)``:  smallest Y with A (.) Y >= X,
   entrywise  max_k  a_ki %% x_kj
 * ``kleene_star``:   A* = E (+) A (+) A^2 (+) ... (identity E: unit
   diagonal, eps elsewhere)
 * ``wedge_closure``: B_* = E° (^) B (^) B°2 (^) ... (dual identity E°:
   unit diagonal, top elsewhere)
+
+Over max-plus scalars the three residuals are products of the conjugate
+transpose conj(A)^T (a_ij -> -a_ji, eps <-> top):
+
+    A \\ B = conj(A)^T (.) B      C / A = C (.) conj(A)^T      A %% X = conj(A)^T (x) X
+
+so the five operations share one integer kernel, ``_zmax_product``.  With m
+the largest finite magnitude in either operand and K = 3m + 1, it encodes
+top as K and eps as -3K for (x), top as 3K and eps as -K for (.).  Every
+sum of two codes then lands in one of three disjoint ranges: above 2m where
+the exact result is top, below -2m where it is eps, and the exact finite
+value in between, so one integer max (or min) per entry is exact for
+integers of any size.  Series and interval matrices use the generic loops.
 
 Both closures are one Gauss-Jordan elimination, exact in O(n^3) scalar
 operations; the meet closure runs it over the order dual of the semiring.
@@ -29,12 +42,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, neg
 from typing import Any, Sequence
 
 from .errors import DivergenceWarning, SeriesDomainError, ShapeError
+from .zmax import EPS, TOP, ZMAX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable dense rectangular matrix in row-major order."""
 
@@ -43,14 +59,17 @@ class Matrix:
     cols: int
     entries: tuple
 
-    def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
-            raise ShapeError(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, semiring, rows: int, cols: int, entries: tuple) -> None:
+        if rows <= 0 or cols <= 0:
+            raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        # Stored straight into the instance dict: the four setattr calls of a
+        # frozen dataclass cost about as much as a whole 2x2 product.
+        d = self.__dict__
+        d["semiring"], d["rows"], d["cols"], d["entries"] = semiring, rows, cols, entries
 
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -138,6 +157,55 @@ def mat_leq(a: Matrix, b: Matrix) -> bool:
     return all(map(leq, a.entries, b.entries))
 
 
+def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
+                  conj_x: bool = False) -> Matrix:
+    """L (x) R, or L (.) R when ``dual``, of max-plus matrices, where L is A
+    or, with ``conj_a``, conj(A)^T, and R is X or, with ``conj_x``, conj(X)^T.
+
+    Each output entry is one integer max (or min) of sums of codes; see the
+    module docstring for the encoding.  The caller checks the shapes.
+    """
+    ea, ex = a.entries, x.entries
+    if EPS in ea or TOP in ea or EPS in ex or TOP in ex:
+        fin = [v for v in chain(ea, ex) if v is not EPS and v is not TOP]
+        m = max(map(abs, fin)) if fin else 0
+        k = 3 * m + 1
+        hi, lo = (3 * k, -k) if dual else (k, -3 * k)
+        # A conjugated operand maps v to -v, eps to top's code, top to eps's.
+        ea = ([lo if v is TOP else hi if v is EPS else -v for v in ea] if conj_a
+              else [hi if v is TOP else lo if v is EPS else v for v in ea])
+        ex = ([lo if v is TOP else hi if v is EPS else -v for v in ex] if conj_x
+              else [hi if v is TOP else lo if v is EPS else v for v in ex])
+        bound = 2 * m
+    else:
+        bound = None
+        if conj_a:
+            ea = tuple(map(neg, ea))
+        if conj_x:
+            ex = tuple(map(neg, ex))
+    # Rows of L and columns of R; zip over one shared iterator cuts rows.
+    c = a.cols
+    if conj_a:
+        left = [ea[j::c] for j in range(c)] if c > 1 else [ea]
+    else:
+        left = zip(*[iter(ea)] * c)
+    c = x.cols
+    if conj_x:
+        right = list(zip(*[iter(ex)] * c))
+    else:
+        right = [ex[j::c] for j in range(c)] if c > 1 else [ex]
+    red = min if dual else max
+    if bound is None:
+        out = [red(map(add, u, w)) for u in left for w in right]
+    else:
+        out = [
+            TOP if (v := red(map(add, u, w))) > bound else EPS if v < -bound else v
+            for u in left
+            for w in right
+        ]
+    return Matrix(ZMAX, a.cols if conj_a else a.rows, len(right), tuple(out))
+
+
 def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
     """Semiring matrix product."""
     if a.cols != x.rows:
@@ -145,6 +213,8 @@ def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
     if a.semiring is not x.semiring:
         raise ShapeError("mat_otimes: operands live over different semirings")
     sr = a.semiring
+    if sr is ZMAX:
+        return _zmax_product(a, x, False)
     out = []
     for i in range(a.rows):
         for j in range(x.cols):
@@ -162,6 +232,8 @@ def mat_odot(a: Matrix, x: Matrix) -> Matrix:
     if a.semiring is not x.semiring:
         raise ShapeError("mat_odot: operands live over different semirings")
     sr = a.semiring
+    if sr is ZMAX:
+        return _zmax_product(a, x, True)
     out = []
     for i in range(a.rows):
         for j in range(x.cols):
@@ -179,6 +251,8 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
     if a.semiring is not b.semiring:
         raise ShapeError("left_residual: operands live over different semirings")
     sr = a.semiring
+    if sr is ZMAX:
+        return _zmax_product(a, b, True, conj_a=True)
     out = []
     for i in range(a.cols):
         for j in range(b.cols):
@@ -196,12 +270,14 @@ def right_residual(c: Matrix, a: Matrix) -> Matrix:
     if c.semiring is not a.semiring:
         raise ShapeError("right_residual: operands live over different semirings")
     sr = c.semiring
+    if sr is ZMAX:
+        return _zmax_product(c, a, True, conj_x=True)
     out = []
     for i in range(c.rows):
         for j in range(a.rows):
             acc = sr.top
             for k in range(c.cols):
-                acc = sr.wedge(acc, sr.rres(a.at(j, k), c.at(i, k)))
+                acc = sr.wedge(acc, sr.lres(a.at(j, k), c.at(i, k)))
             out.append(acc)
     return Matrix(sr, c.rows, a.rows, tuple(out))
 
@@ -213,6 +289,8 @@ def dual_residual(a: Matrix, x: Matrix) -> Matrix:
     if a.semiring is not x.semiring:
         raise ShapeError("dual_residual: operands live over different semirings")
     sr = a.semiring
+    if sr is ZMAX:
+        return _zmax_product(a, x, False, conj_a=True)
     out = []
     for i in range(a.cols):
         for j in range(x.cols):
@@ -239,7 +317,7 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
     """
     n = a.rows
     eps, oplus, otimes, star = ops.eps, ops.oplus, ops.otimes, ops.star
-    m = [list(row) for row in a.to_rows()]
+    m = a.to_rows()
     saturated = []
     for k in range(n):
         skk = star(m[k][k])
@@ -255,7 +333,7 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
                 row_i[j] = oplus(row_i[j], otimes(ik, row_k[j]))
     for i in range(n):
         m[i][i] = oplus(m[i][i], ops.one)
-    return Matrix(a.semiring, n, n, tuple(x for row in m for x in row)), saturated
+    return Matrix(a.semiring, n, n, tuple(chain.from_iterable(m))), saturated
 
 
 class _OrderDual:

@@ -274,6 +274,11 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
         return top_part
     lo = min(m.exp for m in fin)
     rank = max(m.exp for m in fin)
+    if rank + 2 * nu - lo > _WINDOW_CAP:
+        raise DivergenceError(
+            f"pattern with period exponent {nu} spans {rank + 2 * nu - lo} exponents, "
+            f"past the explicit-window cap {_WINDOW_CAP}"
+        )
     vals: list[Scalar] = []
     for j in range(lo, rank + 2 * nu + 1):
         best: Scalar = EPS
@@ -508,11 +513,6 @@ def s_lres(a: Series, b: Series) -> Series:
     return _reconstruct(out, lo, big_b, v, rank_x)
 
 
-def s_rres(a: Series, b: Series) -> Series:
-    """Greatest x with x (x) a <= b; equals s_lres by commutativity."""
-    return s_lres(a, b)
-
-
 def _require_dual_left(m: Series) -> None:
     if not (is_eps(m) or m.all_top or is_monomial(m)):
         raise SeriesDomainError(
@@ -745,7 +745,6 @@ class _GammaSemiring:
     otimes = staticmethod(s_otimes)
     odot = staticmethod(mono_odot)
     lres = staticmethod(s_lres)
-    rres = staticmethod(s_rres)
     dualres = staticmethod(mono_dualres)
     star = staticmethod(s_star)
     leq = staticmethod(s_leq)

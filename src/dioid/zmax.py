@@ -117,11 +117,6 @@ def lres(a: Scalar, b: Scalar) -> Scalar:
     return b - a
 
 
-def rres(a: Scalar, b: Scalar) -> Scalar:
-    """Greatest x with x (x) a <= b; equals lres since (x) commutes."""
-    return lres(a, b)
-
-
 def dualres(a: Scalar, b: Scalar) -> Scalar:
     """Smallest x with a (.) x >= b; b - a on finite values."""
     if a is TOP:
@@ -201,7 +196,6 @@ class _ZMaxSemiring:
     otimes = staticmethod(otimes)
     odot = staticmethod(odot)
     lres = staticmethod(lres)
-    rres = staticmethod(rres)
     dualres = staticmethod(dualres)
     star = staticmethod(star)
     leq = staticmethod(leq)

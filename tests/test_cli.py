@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from dioid.cli import main
@@ -144,6 +146,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "parse error" in err and "line 2, entry 1" in err
+
+    def test_long_period_literal_is_refused_quickly(self, workdir, capsys):
+        # The window of 1.g0.(1.g100000000)* would hold 2*10^8 values; it used
+        # to be filled before any cap was checked.
+        _, write = workdir
+        lit = write("lit.mat", "1 1\n1.g0.(1.g100000000)*\n")
+        start = time.perf_counter()
+        assert main(["star", lit, "--type", "series"]) == 1
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "period exponent 100000000" in err
 
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir

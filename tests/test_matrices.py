@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 import warnings
+from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -41,7 +43,7 @@ from dioid import zmax
 from dioid.errors import SeriesDomainError, ShapeError
 from dioid.series import parse_series
 
-from conftest import rand_matrix
+from conftest import rand_matrix, rand_scalar
 
 
 def series_matrix(rows):
@@ -116,8 +118,67 @@ class TestElementwise:
             kleene_star(a)
 
 
+# Entry pools for the max-plus kernel: no finite entry at all, finite entries
+# all 0 (both give the encoding bound m = 0), magnitudes past 2^63 and
+# multiples of 10^400.
+ENTRY_POOLS = {
+    "small": lambda rng: rand_scalar(rng, -9, 9, 0.2, 0.1),
+    "unit": lambda rng: rng.choice((0, EPS, TOP)),
+    "eps": lambda rng: EPS,
+    "top": lambda rng: TOP,
+    "int64": lambda rng: rng.choice((EPS, TOP, 0, -(2**63 + rng.randint(0, 99)),
+                                     2**63 + rng.randint(0, 99))),
+    "huge": lambda rng: rng.choice((EPS, TOP, rng.randint(-4, 4) * 10**400)),
+}
+
+# name: (operation, join, unit of join, term of output (i, j) at inner index k)
+SCALAR_TABLES = {
+    "mat_otimes": (mat_otimes, zmax.oplus, EPS,
+                   lambda a, x, i, j, k: zmax.otimes(a.at(i, k), x.at(k, j))),
+    "mat_odot": (mat_odot, zmax.wedge, TOP,
+                 lambda a, x, i, j, k: zmax.odot(a.at(i, k), x.at(k, j))),
+    "left_residual": (left_residual, zmax.wedge, TOP,
+                      lambda a, b, i, j, k: zmax.lres(a.at(k, i), b.at(k, j))),
+    "right_residual": (right_residual, zmax.wedge, TOP,
+                       lambda c, a, i, j, k: zmax.lres(a.at(j, k), c.at(i, k))),
+    "dual_residual": (dual_residual, zmax.oplus, EPS,
+                      lambda a, x, i, j, k: zmax.dualres(a.at(k, i), x.at(k, j))),
+}
+
+
+def operand_shapes(name, p, q, r):
+    """Shapes of the two operands of ``name`` whose result is p x r with inner length q."""
+    if name in ("mat_otimes", "mat_odot"):
+        return (p, q), (q, r)
+    if name == "right_residual":
+        return (p, q), (r, q)
+    return (q, p), (q, r)
+
+
 class TestProductsAgainstLoops:
     """Triple-loop re-computation with scalar operations only."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_TABLES))
+    def test_every_shape_and_entry_pool(self, name):
+        # Every shape up to 7x7x7, so 1xn and nx1 operands too, each pair of
+        # pools in turn; the expected entries are folded from the scalar tables.
+        rng = random.Random(f"kernel:{name}")
+        pools = sorted(ENTRY_POOLS)
+        op, join, unit, term = SCALAR_TABLES[name]
+        for idx, (p, q, r) in enumerate(product(range(1, 8), repeat=3)):
+            draw_a = ENTRY_POOLS[pools[idx % len(pools)]]
+            draw_x = ENTRY_POOLS[pools[idx // len(pools) % len(pools)]]
+            (ra, ca), (rx, cx) = operand_shapes(name, p, q, r)
+            a = from_rows(ZMAX, [[draw_a(rng) for _ in range(ca)] for _ in range(ra)])
+            x = from_rows(ZMAX, [[draw_x(rng) for _ in range(cx)] for _ in range(rx)])
+            expected = tuple(
+                reduce(join, (term(a, x, i, j, k) for k in range(q)), unit)
+                for i in range(p)
+                for j in range(r)
+            )
+            got = op(a, x)
+            assert (got.rows, got.cols) == (p, r)
+            assert got.entries == expected, (name, a, x)
 
     def test_otimes(self):
         rng = random.Random(2)
