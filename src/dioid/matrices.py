@@ -66,8 +66,9 @@ class Matrix:
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        # Stored straight into the instance dict: the four setattr calls of a
-        # frozen dataclass cost about as much as a whole 2x2 product.
+        # Stored straight into the instance dict: a frozen dataclass's four
+        # setattr calls would about double the cost of building a matrix,
+        # which every kernel pays once.
         d = self.__dict__
         d["semiring"], d["rows"], d["cols"], d["entries"] = semiring, rows, cols, entries
 
