@@ -71,7 +71,6 @@ from .series import (
     S_ONE,
     S_TOP,
     Series,
-    canonicalize,
     from_monomials,
     make_series,
     mono_dualres,

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Optional, Union
 
 from . import zmax
@@ -56,7 +58,14 @@ class Monomial:
 
 @dataclass(frozen=True)
 class Series:
-    """Canonical ultimately-periodic non-decreasing series."""
+    """Canonical ultimately-periodic non-decreasing series.
+
+    The constructor checks the shape every operation relies on and raises
+    ``SeriesDomainError`` when it does not hold: eps-free coefficients and
+    exponents that both strictly increase over ``transient + pattern``, a
+    ``top`` coefficient only at the end of a polynomial, and a period with
+    positive coefficient and exponent whose pattern fits in one period.
+    """
 
     transient: tuple[Monomial, ...]
     pattern: tuple[Monomial, ...]
@@ -64,29 +73,38 @@ class Series:
     all_top: bool = False
 
     def __post_init__(self) -> None:
+        transient, pattern, period = self.transient, self.pattern, self.period
         if self.all_top:
-            assert not self.transient and not self.pattern and self.period is None
+            if transient or pattern or period is not None:
+                raise SeriesDomainError("the all-top series has no monomials")
             return
-        combined = self.transient + self.pattern
-        prev: Scalar = EPS
-        prev_exp = None
-        for m in combined:
-            assert m.coeff is not EPS
-            assert zmax.lt(prev, m.coeff), "coefficients must strictly increase"
-            assert prev_exp is None or m.exp > prev_exp, "exponents must strictly increase"
-            prev, prev_exp = m.coeff, m.exp
-        if self.period is not None:
-            assert self.pattern, "a period requires a pattern"
-            assert isinstance(self.period.coeff, int) and self.period.coeff > 0
-            assert self.period.exp > 0
-            start = self.pattern[0].exp
-            for m in self.pattern:
-                assert isinstance(m.coeff, int), "pattern coefficients are finite"
-                assert start <= m.exp < start + self.period.exp
-        else:
-            assert not self.pattern
-        if any(m.coeff is TOP for m in self.transient):
-            assert self.transient[-1].coeff is TOP and self.period is None
+        monos = transient + pattern
+        prev_c = prev_e = None
+        for m in monos:
+            c, e = m.coeff, m.exp
+            if c is EPS or c is TOP:
+                if c is EPS or pattern or m is not monos[-1]:
+                    raise SeriesDomainError(
+                        f"coefficient {c} may not appear in a series monomial here: "
+                        "eps never, top only to end a polynomial")
+            elif prev_c is not None and c <= prev_c:
+                raise SeriesDomainError("series coefficients must strictly increase")
+            if prev_e is not None and e <= prev_e:
+                raise SeriesDomainError("series exponents must strictly increase")
+            prev_c, prev_e = c, e
+        if period is None:
+            if pattern:
+                raise SeriesDomainError("a pattern requires a period")
+            return
+        if not pattern:
+            raise SeriesDomainError("a period requires a pattern")
+        tau, nu = period.coeff, period.exp
+        if not isinstance(tau, int) or tau <= 0 or nu <= 0:
+            raise SeriesDomainError(
+                f"period must have positive finite coefficient and exponent, got {period}"
+            )
+        if prev_e >= pattern[0].exp + nu:
+            raise SeriesDomainError("the pattern must fit in one period")
 
     def __repr__(self) -> str:
         return f"Series({format_series(self)!r})"
@@ -118,7 +136,6 @@ def _top_tail_exp(s: Series) -> Optional[int]:
 
 
 def _min_exp(s: Series) -> int:
-    assert not s.all_top and not is_eps(s)
     if s.transient:
         return s.transient[0].exp
     return s.pattern[0].exp
@@ -142,8 +159,62 @@ def value_at(s: Series, j: int) -> Scalar:
 
 
 def values(s: Series, lo: int, hi: int) -> list[Scalar]:
-    """Exact coefficients on the exponent window [lo, hi]."""
-    return [value_at(s, j) for j in range(lo, hi + 1)]
+    """Exact coefficients on the exponent window [lo, hi].
+
+    One sweep over the staircase steps at or below ``hi``: the transient,
+    then the pattern copies from the first one that reaches ``lo``.  Each
+    step raises a running maximum and the constant run before it is filled
+    in one list operation, so the cost is O(window + steps).
+    """
+    if hi < lo:
+        return []
+    if s.all_top:
+        return [TOP] * (hi - lo + 1)
+    out: list[Scalar] = []
+    cur: Scalar = EPS
+    pos = lo  # first exponent not yet in ``out``
+    for m in s.transient:
+        e = m.exp
+        if e > hi:
+            break
+        if e > pos:
+            out += [cur] * (e - pos)
+            pos = e
+        cur = m.coeff  # the constructor keeps these strictly increasing
+    if s.period is not None:
+        tau, nu = s.period.coeff, s.period.exp
+        start = s.pattern[0].exp
+        # Copies before the k-th lie wholly below lo; every pattern value
+        # tops the transient, so they only leave their largest value.
+        k = (lo - start) // nu if lo > start else 0
+        if k:
+            cur = s.pattern[-1].coeff + (k - 1) * tau
+        pat = [(m.exp - start, m.coeff) for m in s.pattern]
+        base, shift = start + k * nu, k * tau
+        while base <= hi:
+            for off, c in pat:
+                e = base + off
+                if e > hi:
+                    break
+                if e > pos:
+                    out += [cur] * (e - pos)
+                    pos = e
+                c += shift
+                if cur is EPS or c > cur:
+                    cur = c
+            base += nu
+            shift += tau
+    out += [cur] * (hi + 1 - pos)
+    return out
+
+
+def _extent(vals: list[Scalar]) -> tuple[int, int]:
+    """(e, t) for a non-decreasing window: eps before index e, top from t on."""
+    n = len(vals)
+    e = 0
+    while e < n and vals[e] is EPS:
+        e += 1
+    return e, (vals.index(TOP) if n and vals[-1] is TOP else n)
 
 
 def _growth(s: Series) -> tuple[int, int, int]:
@@ -161,16 +232,27 @@ def _shift_coeff(v: Scalar, d: int) -> Scalar:
     return v + d
 
 
-def _steps(vals: list[Scalar], lo: int) -> list[tuple[int, Scalar]]:
-    out: list[tuple[int, Scalar]] = []
-    prev: Scalar = EPS
-    for i, v in enumerate(vals):
-        if zmax.lt(prev, v):
-            out.append((lo + i, v))
-            prev = v
-        else:
-            assert not zmax.lt(v, prev), "series values must be non-decreasing"
-    return out
+def _steps(vals: list[Scalar], lo: int, end: int) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where ``vals[:end]``, finite after an eps prefix,
+    changes value; a change must be an increase."""
+    exps: list[int] = []
+    coeffs: list[Scalar] = []
+    k = 0
+    while k < end and vals[k] is EPS:
+        k += 1
+    if k < end:
+        prev = vals[k]
+        exps.append(lo + k)
+        coeffs.append(prev)
+        for i in range(k + 1, end):
+            v = vals[i]
+            if v != prev:
+                if v < prev:
+                    raise AssertionError("series values must be non-decreasing")
+                exps.append(lo + i)
+                coeffs.append(v)
+                prev = v
+    return exps, coeffs
 
 
 def _divisors(n: int) -> list[int]:
@@ -181,54 +263,62 @@ def _reconstruct(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> S
     """Rebuild the canonical form from an exact window.
 
     Requires: the window covers [lo, rank + 2*nu], the series is eps below
-    lo, and s(j + nu) = s(j) + tau holds for every j >= rank.
+    lo, and s(j + nu) = s(j) + tau holds for every j >= rank.  The checks
+    below catch a caller whose proof of that recurrence is wrong.
     """
-    hi = lo + len(vals) - 1
-    assert hi >= rank + 2 * nu
+    n = len(vals)
+    hi = lo + n - 1
+    if hi < rank + 2 * nu:
+        raise AssertionError("window ends before two periods past the rank")
 
-    for i, v in enumerate(vals):
-        if v is TOP:
-            jt = lo + i
-            head = [Monomial(c, j) for j, c in _steps(vals[:i], lo)]
-            head.append(Monomial(TOP, jt))
-            return Series(tuple(head), (), None)
+    if vals[-1] is TOP:
+        i = vals.index(TOP)
+        exps, coeffs = _steps(vals, lo, i)
+        head = tuple(map(Monomial, coeffs, exps)) + (Monomial(TOP, lo + i),)
+        return Series(head, (), None)
 
-    steps = _steps(vals, lo)
-    if not steps:
+    exps, coeffs = _steps(vals, lo, n)
+    if not exps:
         return S_EPS
 
     if tau == 0:
-        assert steps[-1][0] <= rank
-        return Series(tuple(Monomial(c, j) for j, c in steps), (), None)
+        if exps[-1] > rank:
+            raise AssertionError("a polynomial steps past its proven rank")
+        return Series(tuple(map(Monomial, coeffs, exps)), (), None)
+
+    # From the rank on the window is finite: top was handled above, and a
+    # recurrence from an eps value would leave the whole window eps.
+    r = rank - lo
+    k = exps[0] - lo  # first finite index
+    if k > r:
+        raise AssertionError("the window is eps at the proven rank")
 
     # Minimal period: smallest exponent-divisor whose proportional
     # coefficient is integral and whose recurrence holds on the window.
-    chosen = None
+    tail = vals[r:]
     for nu0 in _divisors(nu):
         if (tau * nu0) % nu:
             continue
         tau0 = tau * nu0 // nu
-        if all(
-            vals[j - lo + nu0] == _shift_coeff(vals[j - lo], tau0)
-            for j in range(rank, hi - nu0 + 1)
-        ):
-            chosen = (tau0, nu0)
+        if [v + tau0 for v in tail[:-nu0]] == tail[nu0:]:
             break
-    assert chosen is not None
-    tau0, nu0 = chosen
+    else:
+        raise AssertionError("the proven period does not hold on the window")
 
-    # Earliest rank at which the minimal recurrence already holds.
-    n_raw = rank
-    while n_raw - 1 >= lo and vals[n_raw - 1 - lo + nu0] == _shift_coeff(
-        vals[n_raw - 1 - lo], tau0
-    ):
-        n_raw -= 1
+    # Earliest rank at which the minimal recurrence already holds: one past
+    # the last j < rank where it fails.  On the eps prefix it fails exactly
+    # at the last eps index.
+    i = r - 1
+    while i >= k and vals[i + nu0] == vals[i] + tau0:
+        i -= 1
+    n_raw = lo + max(i + 1, k)
 
-    start = next((j for j, _ in steps if j >= n_raw), None)
-    assert start is not None and start + nu0 <= hi
-    transient = tuple(Monomial(c, j) for j, c in steps if j < start)
-    pattern = tuple(Monomial(c, j) for j, c in steps if start <= j < start + nu0)
-    return Series(transient, pattern, Monomial(tau0, nu0))
+    i = bisect_left(exps, n_raw)
+    if i == len(exps) or exps[i] + nu0 > hi:
+        raise AssertionError("no pattern step within the window")
+    i2 = bisect_left(exps, exps[i] + nu0, i)
+    monos = tuple(map(Monomial, coeffs[:i2], exps[:i2]))
+    return Series(monos[:i], monos[i:], Monomial(tau0, nu0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +369,20 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
             f"pattern with period exponent {nu} spans {rank + 2 * nu - lo} exponents, "
             f"past the explicit-window cap {_WINDOW_CAP}"
         )
-    vals: list[Scalar] = []
-    for j in range(lo, rank + 2 * nu + 1):
-        best: Scalar = EPS
-        for m in fin:
-            if m.exp <= j:
-                best = zmax.oplus(best, m.coeff + tau * ((j - m.exp) // nu))
-        vals.append(best)
+    # Event array: the largest copy landing on each exponent (``floor`` where
+    # none does), then a running max; the monomial at lo starts it.
+    n = rank + 2 * nu - lo + 1
+    cur = min(m.coeff for m in fin) - 1
+    events = [cur] * n
+    for m in fin:
+        i, c = m.exp - lo, m.coeff
+        ev = events[i::nu]
+        events[i::nu] = [x if x >= y else y for x, y in zip(ev, range(c, c + tau * len(ev), tau))]
+    vals = []
+    for x in events:
+        if x > cur:
+            cur = x
+        vals.append(cur)
     out = _reconstruct(vals, lo, tau, nu, rank)
     return s_oplus(out, top_part) if not is_eps(top_part) else out
 
@@ -302,13 +399,6 @@ def make_series(
             raise SeriesDomainError("a pattern requires a period")
         return from_monomials(transient)
     return s_oplus(from_monomials(transient), pattern_series(pattern, period))
-
-
-def canonicalize(monos: Iterable[Monomial], period: Optional[Monomial] = None) -> Series:
-    """Canonical form of a raw monomial list, periodic when a period is given."""
-    if period is None:
-        return from_monomials(monos)
-    return pattern_series(monos, period)
 
 
 def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
@@ -341,6 +431,47 @@ def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar]
     return values(a, lo, hi), values(b, lo, hi)
 
 
+def _settle(a: Series, b: Series, va: list[Scalar], vb: list[Scalar], vals: list[Scalar],
+            lo: int, tau: int, nu: int, rank: int) -> Series:
+    """The series with window ``vals`` whose recurrence (tau, nu) holds from
+    ``rank``.  When that window is an operand's, the operand is the result:
+    both follow the recurrence past the window, and canonical forms are
+    unique."""
+    if vals == va:
+        return a
+    if vals == vb:
+        return b
+    return _reconstruct(vals, lo, tau, nu, rank)
+
+
+def _join(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
+    """Pointwise max of two windows, comparing ints directly on their common
+    finite stretch: eps is neutral and top absorbs."""
+    (ea, ta), (eb, tb) = _extent(va), _extent(vb)
+    if ea > eb:
+        va, vb, ea, eb, ta, tb = vb, va, eb, ea, tb, ta
+    t = min(ta, tb)
+    out = va[:min(eb, t)]  # eps, then a alone while b is eps
+    if eb < t:
+        out += [x if x >= y else y for x, y in zip(va[eb:t], vb[eb:t])]
+    out += [TOP] * (len(va) - t)
+    return out
+
+
+def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
+    """Pointwise min of two windows: top is neutral and eps absorbs."""
+    (ea, ta), (eb, tb) = _extent(va), _extent(vb)
+    if ta > tb:
+        va, vb, ea, eb, ta, tb = vb, va, eb, ea, tb, ta
+    e = max(ea, eb)
+    out: list[Scalar] = [EPS] * e
+    if e < ta:
+        out += [x if x <= y else y for x, y in zip(va[e:ta], vb[e:ta])]
+    out += vb[max(e, ta):tb]  # b alone once a is top
+    out += [TOP] * (len(vb) - tb)
+    return out
+
+
 def s_oplus(a: Series, b: Series) -> Series:
     """Least upper bound: pointwise max."""
     if is_eps(a):
@@ -354,7 +485,7 @@ def s_oplus(a: Series, b: Series) -> Series:
     if ta is not None or tb is not None:
         jt = min(x for x in (ta, tb) if x is not None)
         va, vb = _window_values(a, b, lo, jt + 2)
-        return _reconstruct([zmax.oplus(x, y) for x, y in zip(va, vb)], lo, 0, 1, jt)
+        return _settle(a, b, va, vb, _join(va, vb), lo, 0, 1, jt)
 
     gta, gna, ra = _growth(a)
     gtb, gnb, rb = _growth(b)
@@ -367,14 +498,13 @@ def s_oplus(a: Series, b: Series) -> Series:
     else:
         win, lose = (a, b) if big_a > big_b else (b, a)
         t_win, t_lose = max(big_a, big_b), min(big_a, big_b)
-        wv = values(win, r0, r0 + v - 1)
-        lv = values(lose, r0, r0 + v - 1)
-        assert all(isinstance(x, int) for x in wv + lv)
-        d = max(y - x for x, y in zip(wv, lv))
+        # Past both ranks the values are finite, since neither operand is eps
+        # or saturates.
+        d = max(map(sub, values(lose, r0, r0 + v - 1), values(win, r0, r0 + v - 1)))
         rc = r0 if d <= 0 else r0 + (d // (t_win - t_lose) + 1) * v
         t_res = t_win
     va, vb = _window_values(a, b, lo, rc + 2 * v)
-    return _reconstruct([zmax.oplus(x, y) for x, y in zip(va, vb)], lo, t_res, v, rc)
+    return _settle(a, b, va, vb, _join(va, vb), lo, t_res, v, rc)
 
 
 def s_wedge(a: Series, b: Series) -> Series:
@@ -392,13 +522,13 @@ def s_wedge(a: Series, b: Series) -> Series:
     if ta is not None and tb is not None:
         rank = max(ta, tb)
         va, vb = _window_values(a, b, lo, rank + 2)
-        return _reconstruct([zmax.wedge(x, y) for x, y in zip(va, vb)], lo, 0, 1, rank)
+        return _settle(a, b, va, vb, _meet(va, vb), lo, 0, 1, rank)
     if ta is not None or tb is not None:
         # min against a saturating series: the finite one wins its tail
         fin_t, fin_n = (gtb, gnb) if ta is not None else (gta, gna)
         rank = max(ra, rb)
         va, vb = _window_values(a, b, lo, rank + 2 * fin_n)
-        return _reconstruct([zmax.wedge(x, y) for x, y in zip(va, vb)], lo, fin_t, fin_n, rank)
+        return _settle(a, b, va, vb, _meet(va, vb), lo, fin_t, fin_n, rank)
 
     v = math.lcm(gna, gnb)
     big_a = gta * (v // gna)
@@ -409,14 +539,11 @@ def s_wedge(a: Series, b: Series) -> Series:
     else:
         win, lose = (a, b) if big_a < big_b else (b, a)
         t_win, t_lose = min(big_a, big_b), max(big_a, big_b)
-        wv = values(win, r0, r0 + v - 1)
-        lv = values(lose, r0, r0 + v - 1)
-        assert all(isinstance(x, int) for x in wv + lv)
-        d = max(x - y for x, y in zip(wv, lv))
+        d = max(map(sub, values(win, r0, r0 + v - 1), values(lose, r0, r0 + v - 1)))
         rc = r0 if d <= 0 else r0 + (d // (t_lose - t_win) + 1) * v
         t_res = t_win
     va, vb = _window_values(a, b, lo, rc + 2 * v)
-    return _reconstruct([zmax.wedge(x, y) for x, y in zip(va, vb)], lo, t_res, v, rc)
+    return _settle(a, b, va, vb, _meet(va, vb), lo, t_res, v, rc)
 
 
 def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
@@ -445,6 +572,13 @@ def s_otimes(a: Series, b: Series) -> Series:
         for p in parts[1:]:
             out = s_oplus(out, p)
         return out
+
+    # A finite monomial factor only shifts the other operand, and shifting
+    # a canonical form keeps it canonical.
+    if is_monomial(a):
+        return _shift_series(b, a.transient[0].coeff, a.transient[0].exp)
+    if is_monomial(b):
+        return _shift_series(a, b.transient[0].coeff, b.transient[0].exp)
 
     p1, q1, r1 = a.transient, a.pattern, a.period
     p2, q2, r2 = b.transient, b.pattern, b.period
@@ -499,14 +633,20 @@ def s_lres(a: Series, b: Series) -> Series:
     k_hi = max(ra, rb - lo) + v
     a_vals = values(a, na0, k_hi)
     b_vals = values(b, lo + na0, hi + k_hi)
+    ta = _extent(a_vals)[1]  # a_vals starts at a's first step: never eps
+    eb, tb = _extent(b_vals)
 
+    # x(j) = min over k in [na0, k_max] of b(j + k) - a(k): terms
+    # b_vals[i:i + m] against a_vals[:m] with i = j - lo.
     out: list[Scalar] = []
-    for j in range(lo, hi + 1):
-        k_max = max(ra, rb - j) + v
+    for i, j in enumerate(range(lo, hi + 1)):
+        m = max(ra, rb - j) + v - na0 + 1
+        if m <= ta and eb <= i and i + m <= tb:
+            out.append(min(map(sub, b_vals[i:i + m], a_vals)))
+            continue
         best: Scalar = TOP
-        for k in range(na0, k_max + 1):
-            term = zmax.lres(a_vals[k - na0], b_vals[j + k - (lo + na0)])
-            best = zmax.wedge(best, term)
+        for av, bv in zip(a_vals[:m], b_vals[i:i + m]):
+            best = zmax.wedge(best, zmax.lres(av, bv))
             if best is EPS:
                 break
         out.append(best)
@@ -567,7 +707,7 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
     """
     t_b, n_b = max(items, key=lambda it: (Fraction(it[0], it[1]), -it[1]))
     w = max(n for _, n in items)
-    horizon = max(4 * (w + n_b), 64)
+    horizon = 4 * (w + n_b)
     while True:
         f = [0] * (horizon + 1)
         for j in range(1, horizon + 1):
@@ -595,7 +735,6 @@ def _poly_star(monos: list[Monomial]) -> Series:
     for m in monos:
         if m.coeff is TOP or m.coeff is EPS:
             continue
-        assert isinstance(m.coeff, int)
         if m.coeff <= 0:
             continue  # dominated by the unit inside the star
         if m.exp == 0:
