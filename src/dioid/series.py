@@ -25,6 +25,25 @@ All exact operations work on a sliding window of explicit values together
 with a *proven* periodicity rank computed from the operands (crossing
 bounds for max/min, shift arguments for residuals, a verified recurrence
 window for stars), so no result is ever guessed from a finite prefix.
+
+Every step on a window is one linear pass over Python ints:
+
+* ``values`` sweeps the staircase steps at or below the window's end once,
+  transient first, then the pattern copies, filling constant runs: O(window
+  + steps);
+* ``pattern_series`` drops each copy into an event array and takes a
+  running max;
+* ``_reconstruct`` reads the steps, the minimal period (one comparison of
+  shifted slices per candidate) and the earliest rank straight off the ints;
+* two windows are joined or met by comparing ints on their common finite
+  stretch, and a residual value is one minimum over the denominator's steps.
+
+Eps and top sit only at the ends of a window, so they are located, not
+compared; a table call per value is left only where they enter a residual's
+terms.  Operations expect canonical operands, as every constructor function
+and operation returns them.  That lets a product or residual by a finite
+monomial shift the other operand, and lets a join or meet whose window
+equals an operand's return that operand, without rebuilding it.
 """
 
 from __future__ import annotations
@@ -372,13 +391,14 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
     # Event array: the largest copy landing on each exponent (``floor`` where
     # none does), then a running max; the monomial at lo starts it.
     n = rank + 2 * nu - lo + 1
-    cur = min(m.coeff for m in fin) - 1
-    events = [cur] * n
+    floor = min(m.coeff for m in fin) - 1
+    events = [floor] * n
     for m in fin:
         i, c = m.exp - lo, m.coeff
         ev = events[i::nu]
         events[i::nu] = [x if x >= y else y for x, y in zip(ev, range(c, c + tau * len(ev), tau))]
     vals = []
+    cur = floor
     for x in events:
         if x > cur:
             cur = x
@@ -425,9 +445,13 @@ def _finite_part(s: Series) -> Series:
 # Semiring operations
 # ---------------------------------------------------------------------------
 
-def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar], list[Scalar]]:
+def _check_window(lo: int, hi: int) -> None:
     if hi - lo > _WINDOW_CAP:
         raise DivergenceError("series transients exceed the explicit-window cap")
+
+
+def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar], list[Scalar]]:
+    _check_window(lo, hi)
     return values(a, lo, hi), values(b, lo, hi)
 
 
@@ -498,8 +522,10 @@ def s_oplus(a: Series, b: Series) -> Series:
     else:
         win, lose = (a, b) if big_a > big_b else (b, a)
         t_win, t_lose = max(big_a, big_b), min(big_a, big_b)
+        # The final window reaches past r0 + 2v: refuse it before allocating.
         # Past both ranks the values are finite, since neither operand is eps
         # or saturates.
+        _check_window(lo, r0 + 2 * v)
         d = max(map(sub, values(lose, r0, r0 + v - 1), values(win, r0, r0 + v - 1)))
         rc = r0 if d <= 0 else r0 + (d // (t_win - t_lose) + 1) * v
         t_res = t_win
@@ -539,6 +565,7 @@ def s_wedge(a: Series, b: Series) -> Series:
     else:
         win, lose = (a, b) if big_a < big_b else (b, a)
         t_win, t_lose = min(big_a, big_b), max(big_a, big_b)
+        _check_window(lo, r0 + 2 * v)
         d = max(map(sub, values(win, r0, r0 + v - 1), values(lose, r0, r0 + v - 1)))
         rc = r0 if d <= 0 else r0 + (d // (t_lose - t_win) + 1) * v
         t_res = t_win
@@ -613,6 +640,9 @@ def s_lres(a: Series, b: Series) -> Series:
         return S_EPS
     if a.all_top:
         return S_EPS
+    if is_monomial(a) and a.transient[0].coeff is not TOP:
+        # t.gn (x) x <= b iff x(j) <= b(j + n) - t: b shifted back
+        return _shift_series(b, -a.transient[0].coeff, -a.transient[0].exp)
 
     gta, gna, ra = _growth(a)
     gtb, gnb, rb = _growth(b)
@@ -628,21 +658,25 @@ def s_lres(a: Series, b: Series) -> Series:
     rank_x = rb - na0
     lo = nb0 - na0 - 1
     hi = rank_x + 2 * v
-    if hi - lo > _WINDOW_CAP:
-        raise DivergenceError("series transients exceed the explicit-window cap")
     k_hi = max(ra, rb - lo) + v
+    # b's window is the largest: the output window plus a's terms.
+    _check_window(lo, hi + k_hi - na0)
     a_vals = values(a, na0, k_hi)
     b_vals = values(b, lo + na0, hi + k_hi)
     ta = _extent(a_vals)[1]  # a_vals starts at a's first step: never eps
     eb, tb = _extent(b_vals)
+    # Offsets of a's steps in a_vals, and their values, while a is finite.
+    ks, cs = _steps(a_vals, 0, ta)
 
-    # x(j) = min over k in [na0, k_max] of b(j + k) - a(k): terms
-    # b_vals[i:i + m] against a_vals[:m] with i = j - lo.
+    # x(j) = min over k in [na0, k_max] of b(j + k) - a(k), with i = j - lo
+    # the offset of b(j + na0) in b_vals.  Within a run where a is constant
+    # the first k gives the least term, as b does not decrease; so when the
+    # terms are finite only a's steps below k_max count.
     out: list[Scalar] = []
     for i, j in enumerate(range(lo, hi + 1)):
-        m = max(ra, rb - j) + v - na0 + 1
+        m = max(ra, rb - j) + v - na0 + 1  # terms k = na0 .. k_max
         if m <= ta and eb <= i and i + m <= tb:
-            out.append(min(map(sub, b_vals[i:i + m], a_vals)))
+            out.append(min([b_vals[i + k] - c for k, c in zip(ks[:bisect_left(ks, m)], cs)]))
             continue
         best: Scalar = TOP
         for av, bv in zip(a_vals[:m], b_vals[i:i + m]):
@@ -705,8 +739,14 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
     Dynamic program over exponents; the returned form is proven by checking
     the best-density recurrence on a window long enough to propagate.
     """
-    t_b, n_b = max(items, key=lambda it: (Fraction(it[0], it[1]), -it[1]))
+    # Best density t/n, the shortest exponent among equals.
+    t_b, n_b = items[0]
+    for t, n in items[1:]:
+        if t * n_b > t_b * n or (t * n_b == t_b * n and n < n_b):
+            t_b, n_b = t, n
     w = max(n for _, n in items)
+    # No floor: the check below proves the form from any horizon, and a
+    # short one only doubles.
     horizon = 4 * (w + n_b)
     while True:
         f = [0] * (horizon + 1)
@@ -716,13 +756,14 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
                 if n <= j and t + f[j - n] > best:
                     best = t + f[j - n]
             f[j] = best
-        bad = -1
-        for j in range(horizon - n_b + 1):
-            if f[j + n_b] != f[j] + t_b:
-                bad = j
-        rank = bad + 1
+        # The recurrence holds from one past its last failure; from w
+        # consecutive holds on, the program above propagates it for ever.
+        j = horizon - n_b
+        while j >= 0 and f[j + n_b] == f[j] + t_b:
+            j -= 1
+        rank = j + 1
         if horizon >= rank + n_b + w and horizon >= rank + 2 * n_b:
-            return _reconstruct(list(f), 0, t_b, n_b, rank)
+            return _reconstruct(f, 0, t_b, n_b, rank)
         horizon *= 2
         if horizon > _STAR_HORIZON_CAP:
             raise DivergenceError("star: no periodic regime within the horizon cap")
