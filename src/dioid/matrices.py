@@ -357,10 +357,14 @@ def kleene_star(a: Matrix) -> Matrix:
     """A* = E (+) A (+) A^2 (+) ...
 
     Over max-plus scalars a circuit of positive weight saturates the entries
-    it reaches to top.
+    it reaches to top.  Interval matrices are closed bound by bound, which is
+    exact because (+), (x) and the scalar star all act boundwise.
     """
     _require_square(a, "kleene_star")
-    return _gauss_jordan(a.semiring, a)[0]
+    sr = a.semiring
+    if sr.kind == "interval":
+        return _join_bounds(sr, kleene_star(_bound_matrix(a, 0)), kleene_star(_bound_matrix(a, 1)))
+    return _gauss_jordan(sr, a)[0]
 
 
 def wedge_closure(b: Matrix) -> Matrix:

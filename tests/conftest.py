@@ -41,24 +41,39 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, **kw):
 
 
 def rand_series(rng: random.Random, periodic_bias: float = 0.6,
-                coeff_lo: int = -9, coeff_hi: int = 9, exp_hi: int = 6) -> Series:
-    """Random canonical series produced through the public canonicalizer."""
+                coeff_lo: int = -9, coeff_hi: int = 9, exp_hi: int = 6,
+                tau_lo: int = 1, tau_hi: int = 8, nu_hi: int = 4,
+                top_tail: bool = False) -> Series:
+    """Random canonical series produced through the public canonicalizer;
+    with ``top_tail`` it saturates to top from a random exponent on."""
     n_trans = rng.randint(0, 2)
     transient = [
         Monomial(rng.randint(coeff_lo, coeff_hi), rng.randint(0, exp_hi))
         for _ in range(n_trans)
     ]
+    if top_tail:
+        transient.append(Monomial(TOP, rng.randint(0, exp_hi + 2 * nu_hi)))
     if rng.random() < periodic_bias:
         n_pat = rng.randint(1, 2)
         pattern = [
             Monomial(rng.randint(coeff_lo, coeff_hi), rng.randint(0, exp_hi))
             for _ in range(n_pat)
         ]
-        period = Monomial(rng.randint(1, 8), rng.randint(1, 4))
+        period = Monomial(rng.randint(tau_lo, tau_hi), rng.randint(1, nu_hi))
         return make_series(transient, pattern, period)
     if not transient:
         transient = [Monomial(rng.randint(coeff_lo, coeff_hi), rng.randint(0, exp_hi))]
     return make_series(transient)
+
+
+# Operand kinds of the pointwise oracles: short windows, long windows shaped
+# like the benchmark's long series (exponents up to 40, periods up to 12),
+# and series that saturate to top.
+SERIES_KINDS = {
+    "short": {},
+    "long": dict(coeff_lo=-30, coeff_hi=30, exp_hi=40, tau_lo=5, tau_hi=30, nu_hi=12),
+    "top-tail": dict(top_tail=True),
+}
 
 
 def rand_positive_series(rng: random.Random) -> Series:

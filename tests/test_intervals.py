@@ -9,24 +9,30 @@ import pytest
 
 from dioid import (
     EPS,
+    IGAMMA,
     IZMAX,
     TOP,
     ZMAX,
     Interval,
     OrderedPair,
     from_rows,
+    identity,
     interval_bounds,
     interval_join,
     kleene_star,
+    mat_oplus,
+    mat_otimes,
     pair_project_down,
     pair_project_up,
+    s_oplus,
+    star_by_powers,
     wedge_closure,
 )
 from dioid import zmax
 from dioid.errors import DivergenceWarning, IntervalOrderError
 from dioid.matrices import Matrix
 
-from conftest import rand_matrix, rand_scalar
+from conftest import rand_matrix, rand_positive_series, rand_scalar
 
 
 def iv(lo, hi=None):
@@ -190,3 +196,30 @@ class TestClosures:
             assert slo == kleene_star(lo) and shi == kleene_star(hi)
             dlo, dhi = interval_bounds(wedge_closure(m))
             assert dlo == wedge_closure(lo) and dhi == wedge_closure(hi)
+
+    def test_interval_star_against_power_sums(self):
+        # the star of each bound from explicit powers, independent of the
+        # elimination
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = Matrix(IZMAX, n, n, tuple(rand_interval(rng) for _ in range(n * n)))
+            lo, hi = interval_bounds(m)
+            want = interval_join(IZMAX, star_by_powers(lo), star_by_powers(hi))
+            assert kleene_star(m) == want, m
+
+    def test_interval_series_star_is_a_fixed_point(self):
+        # A* = E (+) A (x) A* over interval-series matrices
+        rng = random.Random(25)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            entries = []
+            for _ in range(n * n):
+                if rng.random() < 0.3:
+                    entries.append(IGAMMA.eps)
+                    continue
+                low = rand_positive_series(rng)
+                entries.append(IGAMMA.make(low, s_oplus(low, rand_positive_series(rng))))
+            a = Matrix(IGAMMA, n, n, tuple(entries))
+            st = kleene_star(a)
+            assert mat_oplus(identity(IGAMMA, n), mat_otimes(a, st)) == st, a

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +36,16 @@ from dioid import (
 )
 from dioid import zmax
 from dioid.errors import ParseError, SeriesDomainError
-from dioid.series import Series, format_series, is_monomial, value_at
+from dioid.series import Series, format_series, is_monomial, value_at, values
 
-from conftest import eval_monomials, eval_series, rand_positive_series, rand_series, unroll
+from conftest import (
+    SERIES_KINDS,
+    eval_monomials,
+    eval_series,
+    rand_positive_series,
+    rand_series,
+    unroll,
+)
 
 g = parse_series
 
@@ -201,14 +213,24 @@ class TestDualOps:
 
 
 class TestPointwiseOracle:
-    """Implementation vs direct computation from the raw monomial semantics."""
+    """Implementation vs direct computation from the raw monomial semantics,
+    on short-window, long-window and top-tail operands."""
 
-    N = 60
+    COUNTS = {"short": 60, "long": 10, "top-tail": 30}
+
+    def pairs(self, seed):
+        rng = random.Random(seed)
+        for kind, count in self.COUNTS.items():
+            for _ in range(count):
+                if kind == "top-tail":
+                    # one or both operands saturate
+                    tops = rng.choice(((True, False), (False, True), (True, True)))
+                    yield tuple(rand_series(rng, top_tail=t) for t in tops)
+                else:
+                    yield rand_series(rng, **SERIES_KINDS[kind]), rand_series(rng, **SERIES_KINDS[kind])
 
     def test_oplus_wedge(self):
-        rng = random.Random(101)
-        for _ in range(self.N):
-            a, b = rand_series(rng), rand_series(rng)
+        for a, b in self.pairs(101):
             add = s_oplus(a, b)
             meet = s_wedge(a, b)
             for j in window(add, meet, a, b):
@@ -217,28 +239,32 @@ class TestPointwiseOracle:
                 assert value_at(meet, j) == zmax.wedge(va, vb)
 
     def test_otimes_cauchy(self):
-        rng = random.Random(102)
-        for _ in range(self.N):
-            a, b = rand_series(rng), rand_series(rng)
+        for a, b in self.pairs(102):
             prod = s_otimes(a, b)
-            hi = max(window(prod, a, b))
-            ua = unroll(a, hi + 8)
-            ub = unroll(b, hi + 8)
-            for j in window(prod, a, b):
-                best = zmax.EPS
-                for ma in ua:
-                    for mb in ub:
-                        if ma.exp + mb.exp <= j:
-                            best = zmax.oplus(best, zmax.otimes(ma.coeff, mb.coeff))
+            js = window(prod, a, b)
+            hi = max(js)
+            # every product of two monomials, by exponent sum (exponents are
+            # >= 0): their running max is the sup-convolution
+            terms = sorted(
+                ((ma.exp + mb.exp, zmax.otimes(ma.coeff, mb.coeff))
+                 for ma in unroll(a, hi + 8) for mb in unroll(b, hi + 8)),
+                key=lambda t: t[0],
+            )
+            best, k = zmax.EPS, 0
+            for j in js:
+                while k < len(terms) and terms[k][0] <= j:
+                    best = zmax.oplus(best, terms[k][1])
+                    k += 1
                 assert value_at(prod, j) == best, (format_series(a), format_series(b), j)
 
     def test_lres_inf_formula(self):
-        rng = random.Random(103)
-        for _ in range(self.N):
-            a, b = rand_series(rng), rand_series(rng)
+        for a, b in self.pairs(103):
             got = s_lres(a, b)
             hi = max(window(got, a, b))
-            depth = hi + 40
+            # numerator copies repeat their terms every nu_a * nu_b exponents
+            # once past the ranks, so this depth reaches the least term
+            nus = [s.period.exp for s in (a, b) if s.period is not None]
+            depth = hi + 40 + 2 * math.prod(nus)
             ua = unroll(a, depth)
             ub = unroll(b, depth + hi + 8)
             if got == S_EPS:
@@ -261,18 +287,17 @@ class TestPointwiseOracle:
                 assert value_at(got, j) == best, (format_series(a), format_series(b), j)
 
     def test_galois_for_residual(self):
-        rng = random.Random(104)
-        for _ in range(self.N):
-            a, b = rand_series(rng), rand_series(rng)
+        for a, b in self.pairs(104):
             x = s_lres(a, b)
             assert s_leq(s_otimes(a, x), b)
             assert s_leq(b, s_lres(a, s_otimes(a, b)))
 
     def test_shift_ops_pointwise(self):
         rng = random.Random(105)
-        for _ in range(self.N):
+        kinds = [kind for kind, count in self.COUNTS.items() for _ in range(count)]
+        for kind in kinds:
             m = from_monomials([Monomial(rng.randint(-9, 9), rng.randint(0, 5))])
-            s = rand_series(rng)
+            s = rand_series(rng, **SERIES_KINDS[kind])
             t, n = m.transient[0].coeff, m.transient[0].exp
             prod = mono_odot(m, s)
             res = mono_dualres(m, s)
@@ -474,6 +499,103 @@ class TestCanonicalInvariants:
         a = make_series([], [Monomial(3, 1)], Monomial(2, 1))
         b = make_series([Monomial(3, 1)], [Monomial(5, 2)], Monomial(2, 1))
         assert a == b
+
+
+class TestWindowValues:
+    """``values`` sweeps the staircase once; it must agree with the unrolled
+    monomial semantics on every kind of window."""
+
+    def check(self, s, lo, hi):
+        assert values(s, lo, hi) == [eval_series(s, j) for j in range(lo, hi + 1)], (
+            format_series(s), lo, hi)
+
+    def test_random_windows(self):
+        rng = random.Random(112)
+        for kind in SERIES_KINDS:
+            for _ in range(40):
+                s = rand_series(rng, **SERIES_KINDS[kind])
+                first = min(m.exp for m in s.transient + s.pattern)
+                for lo in (first - rng.randint(1, 10),  # below the first step
+                           first + rng.randint(0, 8),
+                           first + rng.randint(50, 200)):  # many periods in
+                    self.check(s, lo, lo + rng.randint(-3, 60))  # hi < lo too
+
+    def test_empty_window(self):
+        assert values(g("3.g1.(2.g1)*"), 5, 4) == []
+        assert values(S_TOP, 2, -1) == []
+
+    def test_extremes(self):
+        assert values(S_EPS, -2, 3) == [zmax.EPS] * 6
+        assert values(S_TOP, -2, 3) == [zmax.TOP] * 6
+        self.check(g("1.g0+4.g2+top.g5"), -2, 9)
+        self.check(g("top.g3"), 0, 6)
+
+    def test_window_inside_a_constant_run(self):
+        s = g("0.g0.(5.g12)*")
+        assert values(s, 1, 11) == [0] * 11
+        assert values(s, 121, 132) == [50] * 11 + [55]
+
+
+class TestResidualFallback:
+    """Residual values whose terms meet eps or top take the table path."""
+
+    def test_saturating_operands(self):
+        # a is top from exponent 3 on and b from 6 on: x(j) >= 3 needs every
+        # b(j + k) with k >= 3 to be top
+        assert s_lres(g("0.g0+top.g3"), g("1.g0+5.g2+top.g6")) == g("5.g3+top.g6")
+
+    def test_periodic_denominator_under_a_saturating_numerator(self):
+        a, b = g("0.g0.(1.g1)*"), g("2.g0+4.g3+top.g5")
+        x = s_lres(a, b)
+        for j in range(-8, 12):
+            # greatest x(j): the least b(j + k) - k over k >= 0
+            want = zmax.TOP
+            for k in range(0, 30):
+                want = zmax.wedge(want, zmax.lres(k, eval_series(b, j + k)))
+            assert value_at(x, j) == want
+        assert x == g("0.g0+1.g1+2.g2+3.g3+4.g4+top.g5")
+
+
+class TestConstructorChecks:
+    """The public constructor refuses forms the operations cannot take."""
+
+    M = Monomial
+
+    @pytest.mark.parametrize("args", [
+        ((M(3, 0), M(1, 2)), (), None),  # decreasing coefficients
+        ((M(1, 2), M(3, 2)), (), None),  # repeated exponent
+        ((M(zmax.EPS, 0),), (), None),
+        ((M(zmax.TOP, 0), M(5, 1)), (), None),  # top before the end
+        ((M(1, 0),), (M(zmax.TOP, 1),), M(1, 1)),  # top in a pattern
+        ((), (M(1, 0),), None),  # pattern without period
+        ((M(1, 0),), (), M(1, 1)),  # period without pattern
+        ((), (M(1, 0),), M(0, 1)),  # non-positive period
+        ((), (M(1, 0), M(2, 3)), M(1, 2)),  # pattern wider than its period
+    ])
+    def test_refused(self, args):
+        with pytest.raises(SeriesDomainError):
+            Series(*args)
+
+    def test_all_top_has_no_monomials(self):
+        with pytest.raises(SeriesDomainError):
+            Series((Monomial(1, 0),), (), None, all_top=True)
+
+    def test_checks_survive_optimize(self):
+        # python -O strips assert statements; these checks must stay
+        code = (
+            "from dioid.errors import SeriesDomainError\n"
+            "from dioid.series import Monomial, Series\n"
+            "try:\n"
+            "    Series((Monomial(3, 0), Monomial(1, 2)), (), None)\n"
+            "except SeriesDomainError:\n"
+            "    print(__debug__, 'refused')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert run.stdout.split() == ["False", "refused"], run.stderr
 
 
 class TestTextForm:
