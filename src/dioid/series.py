@@ -26,24 +26,20 @@ with a *proven* periodicity rank computed from the operands (crossing
 bounds for max/min, shift arguments for residuals, a verified recurrence
 window for stars), so no result is ever guessed from a finite prefix.
 
-Every step on a window is one linear pass over Python ints:
+Every step on a window is one linear pass over Python ints.  ``values``
+sweeps the staircase steps once, transient first, then the pattern copies,
+filling constant runs: O(window + steps).  ``pattern_series`` drops each copy
+into an event array and takes a running max.  ``_reconstruct`` reads the
+steps, the minimal period and the earliest rank straight off the ints.  Two
+windows are joined or met by comparing ints on their common finite stretch,
+and a residual value is one minimum over the denominator's steps.  Eps and
+top sit only at the ends of a window, so they are located, not compared; a
+table call per value is left only where they enter a residual's terms.
 
-* ``values`` sweeps the staircase steps at or below the window's end once,
-  transient first, then the pattern copies, filling constant runs: O(window
-  + steps);
-* ``pattern_series`` drops each copy into an event array and takes a
-  running max;
-* ``_reconstruct`` reads the steps, the minimal period (one comparison of
-  shifted slices per candidate) and the earliest rank straight off the ints;
-* two windows are joined or met by comparing ints on their common finite
-  stretch, and a residual value is one minimum over the denominator's steps.
-
-Eps and top sit only at the ends of a window, so they are located, not
-compared; a table call per value is left only where they enter a residual's
-terms.  Operations expect canonical operands, as every constructor function
-and operation returns them.  That lets a product or residual by a finite
-monomial shift the other operand, and lets a join or meet whose window
-equals an operand's return that operand, without rebuilding it.
+Operations expect canonical operands, as every constructor function and
+operation returns them.  So a product or residual by a finite monomial
+shifts the other operand, and a join or meet whose window equals an
+operand's returns that operand, without rebuilding either.
 """
 
 from __future__ import annotations
