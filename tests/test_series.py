@@ -343,6 +343,19 @@ class TestStar:
                 assert value_at(st, j) == value_at(acc, j)
             assert s_leq(acc, st)
 
+    def test_star_with_a_long_transient(self):
+        # the best-density recurrence shows early but holds only from
+        # exponent 70 on, so the star's horizon has to grow past it
+        s = g("11.g8+15.g11")
+        st = s_star(s)
+        # every exponent of s is >= 8, so 16 powers settle exponents < 136
+        acc, power = S_ONE, S_ONE
+        for _ in range(16):
+            power = s_otimes(power, s)
+            acc = s_oplus(acc, power)
+        for j in range(0, 136):
+            assert value_at(st, j) == value_at(acc, j), j
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(SeriesDomainError):
             s_star(g("-3.g-1"))
@@ -563,6 +576,7 @@ class TestConstructorChecks:
 
     @pytest.mark.parametrize("args", [
         ((M(3, 0), M(1, 2)), (), None),  # decreasing coefficients
+        ((M(1, 0), M(1, 2)), (), None),  # repeated coefficient
         ((M(1, 2), M(3, 2)), (), None),  # repeated exponent
         ((M(zmax.EPS, 0),), (), None),
         ((M(zmax.TOP, 0), M(5, 1)), (), None),  # top before the end
