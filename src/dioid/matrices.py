@@ -30,10 +30,30 @@ top as K and eps as -3K for (x), top as 3K and eps as -K for (.).  Every
 sum of two codes then lands in one of three disjoint ranges: above 2m where
 the exact result is top, below -2m where it is eps, and the exact finite
 value in between, so one integer max (or min) per entry is exact for
-integers of any size.  Series and interval matrices use the generic loops.
+integers of any size.  Series and interval matrices use one generic fold,
+which stops once its accumulator is absorbing (top for (+), eps for (^)).
 
 Both closures are one Gauss-Jordan elimination, exact in O(n^3) scalar
 operations; the meet closure runs it over the order dual of the semiring.
+Over max-plus scalars both run one integer elimination, ``_zmax_closure``;
+the order dual of max-plus is max-plus again through the conjugation
+(v -> -v, eps <-> top), so the meet closure is the conjugate of the star of
+conj(B).  With m the largest finite magnitude and bound = n*m, every finite
+entry met during elimination is the weight of a best elementary path or
+circuit, so it lies within +-bound.  Top is coded as T = (n+1)*bound + 1 and
+eps as -T.  At pivot k:
+
+* a row whose entry in column k is below -bound (eps) is skipped;
+* when the diagonal entry is > 0 (a positive circuit, saturated when it is
+  finite, or top), or the row's entry is top, every column row k reaches
+  (code >= -bound) becomes exactly T in that row;
+* otherwise the row is joined with row k shifted by its finite entry ik:
+  x -> max(x, ik + v).
+
+Codes drift by at most bound per pivot, so after n pivots an eps code stays
+below -bound and a top code above bound.  At the end the diagonal is raised
+to 0 and codes above bound read as top, below -bound as eps.  A row that is
+top in every column never changes again and is shared and skipped.
 
 Shape mismatches raise; there is no broadcasting.
 """
@@ -50,7 +70,7 @@ from .errors import DivergenceWarning, SeriesDomainError, ShapeError
 from .zmax import EPS, TOP, ZMAX
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Matrix:
     """Immutable dense rectangular matrix in row-major order."""
 
@@ -66,11 +86,13 @@ class Matrix:
             raise ShapeError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        # Stored straight into the instance dict: a frozen dataclass's four
-        # setattr calls would about double the cost of building a matrix,
-        # which every kernel pays once.
-        d = self.__dict__
-        d["semiring"], d["rows"], d["cols"], d["entries"] = semiring, rows, cols, entries
+        # Stored through the slot descriptors, past the frozen __setattr__:
+        # cheaper than object.__setattr__ per field, and slots make every
+        # later attribute read about 4x cheaper than an instance dict.
+        _set_semiring(self, semiring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
 
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -87,6 +109,12 @@ class Matrix:
             for i in range(self.rows)
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+_set_semiring = Matrix.semiring.__set__
+_set_rows = Matrix.rows.__set__
+_set_cols = Matrix.cols.__set__
+_set_entries = Matrix.entries.__set__
 
 
 def from_rows(semiring, rows: Sequence[Sequence]) -> Matrix:
@@ -207,6 +235,35 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     return Matrix(ZMAX, a.cols if conj_a else a.rows, len(right), tuple(out))
 
 
+def _rows(a: Matrix) -> list[tuple]:
+    return list(zip(*[iter(a.entries)] * a.cols))
+
+
+def _cols(a: Matrix) -> list[tuple]:
+    c = a.cols
+    return [a.entries[j::c] for j in range(c)]
+
+
+def _fold(sr, left, right, term, dual: bool) -> Matrix:
+    """Entry (i, j) is the join (meet when ``dual``) over k of
+    term(left[i][k], right[j][k]), for element types without an integer kernel.
+
+    A fold stops at the join's absorbing element, top (eps for the meet):
+    the terms left would not change it.
+    """
+    join, unit, absorbing = (sr.wedge, sr.top, sr.eps) if dual else (sr.oplus, sr.eps, sr.top)
+    out = []
+    for u in left:
+        for w in right:
+            acc = unit
+            for p, q in zip(u, w):
+                acc = join(acc, term(p, q))
+                if acc == absorbing:
+                    break
+            out.append(acc)
+    return Matrix(sr, len(left), len(right), tuple(out))
+
+
 def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
     """Semiring matrix product."""
     if a.cols != x.rows:
@@ -216,14 +273,7 @@ def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, False)
-    out = []
-    for i in range(a.rows):
-        for j in range(x.cols):
-            acc = sr.eps
-            for k in range(a.cols):
-                acc = sr.oplus(acc, sr.otimes(a.at(i, k), x.at(k, j)))
-            out.append(acc)
-    return Matrix(sr, a.rows, x.cols, tuple(out))
+    return _fold(sr, _rows(a), _cols(x), sr.otimes, False)
 
 
 def mat_odot(a: Matrix, x: Matrix) -> Matrix:
@@ -235,14 +285,7 @@ def mat_odot(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, True)
-    out = []
-    for i in range(a.rows):
-        for j in range(x.cols):
-            acc = sr.top
-            for k in range(a.cols):
-                acc = sr.wedge(acc, sr.odot(a.at(i, k), x.at(k, j)))
-            out.append(acc)
-    return Matrix(sr, a.rows, x.cols, tuple(out))
+    return _fold(sr, _rows(a), _cols(x), sr.odot, True)
 
 
 def left_residual(a: Matrix, b: Matrix) -> Matrix:
@@ -254,14 +297,7 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, b, True, conj_a=True)
-    out = []
-    for i in range(a.cols):
-        for j in range(b.cols):
-            acc = sr.top
-            for k in range(a.rows):
-                acc = sr.wedge(acc, sr.lres(a.at(k, i), b.at(k, j)))
-            out.append(acc)
-    return Matrix(sr, a.cols, b.cols, tuple(out))
+    return _fold(sr, _cols(a), _cols(b), sr.lres, True)
 
 
 def right_residual(c: Matrix, a: Matrix) -> Matrix:
@@ -273,14 +309,8 @@ def right_residual(c: Matrix, a: Matrix) -> Matrix:
     sr = c.semiring
     if sr is ZMAX:
         return _zmax_product(c, a, True, conj_x=True)
-    out = []
-    for i in range(c.rows):
-        for j in range(a.rows):
-            acc = sr.top
-            for k in range(c.cols):
-                acc = sr.wedge(acc, sr.lres(a.at(j, k), c.at(i, k)))
-            out.append(acc)
-    return Matrix(sr, c.rows, a.rows, tuple(out))
+    lres = sr.lres
+    return _fold(sr, _rows(c), _rows(a), lambda c_ik, a_jk: lres(a_jk, c_ik), True)
 
 
 def dual_residual(a: Matrix, x: Matrix) -> Matrix:
@@ -292,14 +322,7 @@ def dual_residual(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, False, conj_a=True)
-    out = []
-    for i in range(a.cols):
-        for j in range(x.cols):
-            acc = sr.eps
-            for k in range(a.rows):
-                acc = sr.oplus(acc, sr.dualres(a.at(k, i), x.at(k, j)))
-            out.append(acc)
-    return Matrix(sr, a.cols, x.cols, tuple(out))
+    return _fold(sr, _cols(a), _cols(x), sr.dualres, False)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -337,6 +360,62 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(a.semiring, n, n, tuple(chain.from_iterable(m))), saturated
 
 
+def _zmax_closure(a: Matrix, conj: bool) -> tuple[Matrix, list[int]]:
+    """``_gauss_jordan(ZMAX, a)`` on integer codes, or with ``conj`` the same
+    over the order dual, read as the star of conj(A) and conjugated back.
+
+    Returns the same closure and saturated pivots; see the module docstring
+    for the encoding.
+    """
+    n = a.rows
+    e = a.entries
+    if EPS in e or TOP in e:
+        fin = [v for v in e if v is not EPS and v is not TOP]
+        bound = n * max(map(abs, fin)) if fin else 0
+        t = (n + 1) * bound + 1
+        e = ([-t if v is TOP else t if v is EPS else -v for v in e] if conj
+             else [t if v is TOP else -t if v is EPS else v for v in e])
+    else:
+        bound = n * max(map(abs, e))
+        t = (n + 1) * bound + 1
+        if conj:
+            e = tuple(map(neg, e))
+    low = -bound
+    # Rows are never written in place, only replaced, so they may be tuples
+    # and every all-top row may be one shared tuple; such a row never changes
+    # again and is skipped.
+    m = list(zip(*[iter(e)] * n))
+    all_top = (t,) * n
+    saturated = []
+    for k in range(n):
+        rk = m[k]
+        d = rk[k]
+        if 0 < d <= bound:
+            saturated.append(k)
+        reaches_all = min(rk) >= low
+        for i, ri in enumerate(m):
+            ik = ri[k]
+            # Unchanged: rows that do not reach k, row k when its circuit
+            # weighs <= 0, and all-top rows.
+            if ik < low or (i == k and d <= 0) or ri is all_top:
+                continue
+            if d > 0 or ik > bound:
+                # Through a top entry or a positive circuit: every column that
+                # row k reaches is top.
+                m[i] = all_top if reaches_all else [t if v >= low else x for x, v in zip(ri, rk)]
+            else:
+                m[i] = [x if x >= (y := ik + v) else y for x, v in zip(ri, rk)]
+    flat = list(chain.from_iterable(m))
+    for i in range(0, n * n, n + 1):
+        if flat[i] < 0:
+            flat[i] = 0
+    if conj:
+        out = [EPS if c > bound else TOP if c < low else -c for c in flat]
+    else:
+        out = [TOP if c > bound else EPS if c < low else c for c in flat]
+    return Matrix(ZMAX, n, n, tuple(out)), saturated
+
+
 class _OrderDual:
     """A semiring read upside down: (+) <-> (^), (x) <-> (.), eps <-> top.
 
@@ -362,6 +441,8 @@ def kleene_star(a: Matrix) -> Matrix:
     """
     _require_square(a, "kleene_star")
     sr = a.semiring
+    if sr is ZMAX:
+        return _zmax_closure(a, False)[0]
     if sr.kind == "interval":
         return _join_bounds(sr, kleene_star(_bound_matrix(a, 0)), kleene_star(_bound_matrix(a, 1)))
     return _gauss_jordan(sr, a)[0]
@@ -380,13 +461,16 @@ def wedge_closure(b: Matrix) -> Matrix:
         lo = wedge_closure(_bound_matrix(b, 0))
         hi = wedge_closure(_bound_matrix(b, 1))
         return _join_bounds(sr, lo, hi)
-    for idx, entry in enumerate(b.entries):
-        if not sr.odot_left_ok(entry):
-            raise SeriesDomainError(
-                f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
-                "is not eps, top or a monomial with a finite coefficient"
-            )
-    out, saturated = _gauss_jordan(_OrderDual(sr), b)
+    if sr is ZMAX:
+        out, saturated = _zmax_closure(b, True)
+    else:
+        for idx, entry in enumerate(b.entries):
+            if not sr.odot_left_ok(entry):
+                raise SeriesDomainError(
+                    f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
+                    "is not eps, top or a monomial with a finite coefficient"
+                )
+        out, saturated = _gauss_jordan(_OrderDual(sr), b)
     if saturated:
         pivots = ", ".join(str(k + 1) for k in saturated)
         warnings.warn(

@@ -17,9 +17,12 @@ product).  A ``top`` coefficient inside a polynomial marks a series that
 saturates to top from that exponent onward.
 
 Canonical forms are unique: the period is exponent-minimal, the pattern
-starts at the earliest staircase step compatible with periodicity, and
-dominated monomials are removed.  Equality of canonical forms is therefore
-equality of series, and every public operation returns a canonical result.
+starts at the earliest staircase step compatible with periodicity, and the
+monomials of ``transient + pattern`` strictly increase in coefficient and
+exponent.  Equality of canonical forms is therefore equality of series,
+and every public operation returns a canonical result.  Later copies of a
+pattern monomial need not be steps: ``0.g0.(1.g2)*+1.g1.(1.g2)*`` is worth
+0, 1, 1, 2, 2, ... and its copy ``1.g2`` only repeats the value before it.
 
 All exact operations work on a sliding window of explicit values together
 with a *proven* periodicity rank computed from the operands (crossing

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import product
 
@@ -12,8 +13,10 @@ import pytest
 from dioid import (
     EPS,
     GAMMA,
+    IZMAX,
     TOP,
     ZMAX,
+    DivergenceError,
     DivergenceWarning,
     Matrix,
     Monomial,
@@ -28,6 +31,7 @@ from dioid import (
     identity,
     kleene_star,
     left_residual,
+    make_series,
     mat_leq,
     mat_odot,
     mat_oplus,
@@ -41,9 +45,10 @@ from dioid import (
 )
 from dioid import zmax
 from dioid.errors import SeriesDomainError, ShapeError
+from dioid.matrices import _OrderDual, _gauss_jordan, _zmax_closure
 from dioid.series import parse_series
 
-from conftest import rand_matrix, rand_scalar
+from conftest import rand_matrix, rand_scalar, rand_series
 
 
 def series_matrix(rows):
@@ -100,6 +105,17 @@ class TestElementwise:
         assert mat_leq(m, m)
         assert mat_leq(eps_matrix(ZMAX, 1, 1), m)
         assert not mat_leq(m, from_rows(ZMAX, [[0]]))
+
+    def test_frozen_with_value_semantics(self):
+        m = from_rows(ZMAX, [[1, EPS], [TOP, 2]])
+        twin = from_rows(ZMAX, [[1, EPS], [TOP, 2]])
+        assert m == twin and hash(m) == hash(twin)
+        assert m != from_rows(ZMAX, [[1, EPS, TOP, 2]])
+        assert repr(m) == "Matrix(2x2: 1 eps; top 2)"
+        for name, value in (("entries", ()), ("rows", 4), ("semiring", GAMMA)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, value)
+        assert m.entries == (1, EPS, TOP, 2) and not hasattr(m, "__dict__")
 
     def test_shape_errors(self):
         a = rand_matrix(random.Random(0), 2, 3)
@@ -217,6 +233,65 @@ class TestProductsAgainstLoops:
 
     def test_scalar_right_residual(self):
         assert right_residual(from_rows(ZMAX, [[8]]), from_rows(ZMAX, [[3]])).entries == (5,)
+
+
+# name: (operation, dual fold, term of output (i, j) at inner index k)
+GENERIC_TERMS = {
+    "mat_otimes": (mat_otimes, False, lambda sr, a, x, i, j, k: sr.otimes(a.at(i, k), x.at(k, j))),
+    "mat_odot": (mat_odot, True, lambda sr, a, x, i, j, k: sr.odot(a.at(i, k), x.at(k, j))),
+    "left_residual": (left_residual, True, lambda sr, a, b, i, j, k: sr.lres(a.at(k, i), b.at(k, j))),
+    "right_residual": (right_residual, True, lambda sr, c, a, i, j, k: sr.lres(a.at(j, k), c.at(i, k))),
+    "dual_residual": (dual_residual, False,
+                      lambda sr, a, x, i, j, k: sr.dualres(a.at(k, i), x.at(k, j))),
+}
+
+
+class TestGenericFolds:
+    """Series and interval kernels against folds over every inner index."""
+
+    @staticmethod
+    def interval(rng):
+        x, y = (rand_scalar(rng, p_eps=0.2, p_top=0.2) for _ in range(2))
+        return IZMAX.make(zmax.wedge(x, y), zmax.oplus(x, y))
+
+    @staticmethod
+    def series(rng):
+        u = rng.random()
+        return S_EPS if u < 0.25 else S_TOP if u < 0.35 else rand_series(rng, exp_hi=3, nu_hi=2)
+
+    @pytest.mark.parametrize("name", sorted(GENERIC_TERMS))
+    def test_against_full_folds(self, name):
+        rng = random.Random(f"fold:{name}")
+        op, dual, term = GENERIC_TERMS[name]
+        # The dual product and residual of series take monomial left operands
+        # only, so series run the product and the two residuals.
+        kinds = [(IZMAX, self.interval)]
+        if name in ("mat_otimes", "left_residual", "right_residual"):
+            kinds.append((GAMMA, self.series))
+        for sr, draw in kinds:
+            join, unit = (sr.wedge, sr.top) if dual else (sr.oplus, sr.eps)
+            for p, q, r in product(range(1, 4), repeat=3):
+                (ra, ca), (rx, cx) = operand_shapes(name, p, q, r)
+                a = from_rows(sr, [[draw(rng) for _ in range(ca)] for _ in range(ra)])
+                x = from_rows(sr, [[draw(rng) for _ in range(cx)] for _ in range(rx)])
+                expected = tuple(
+                    reduce(join, (term(sr, a, x, i, j, k) for k in range(q)), unit)
+                    for i in range(p)
+                    for j in range(r)
+                )
+                assert op(a, x).entries == expected, (name, a, x)
+
+    def test_fold_stops_at_the_absorbing_element(self):
+        # The meet is eps after the first term, so the second, whose window
+        # would pass the cap, is never computed.
+        far = make_series([Monomial(0, 0), Monomial(1, 10**6)])
+        ramp = make_series([], [Monomial(0, 0)], Monomial(1, 1))
+        one = parse_series("0.g0")
+        with pytest.raises(DivergenceError):
+            GAMMA.lres(far, one)
+        a = Matrix(GAMMA, 2, 1, (ramp, far))
+        b = Matrix(GAMMA, 2, 1, (far, one))
+        assert left_residual(a, b).entries == (S_EPS,)
 
 
 class TestResidualGalois:
@@ -360,6 +435,40 @@ class TestWedgeClosure:
                 n = rng.randint(1, 6)
                 b = rand_matrix(rng, n, n, lo=-4, hi=6, p_eps=0.15, p_top=0.35)
                 assert wedge_closure(b) == conj(star_by_powers(conj(b))), b
+
+
+def _closure_rows(rng, n, idx):
+    """An n x n max-plus matrix whose entries come from two entry pools."""
+    pools = sorted(ENTRY_POOLS)
+    draws = (ENTRY_POOLS[pools[idx % len(pools)]], ENTRY_POOLS[pools[idx // len(pools) % len(pools)]])
+    return [[rng.choice(draws)(rng) for _ in range(n)] for _ in range(n)]
+
+
+class TestClosuresAgainstElimination:
+    """The max-plus integer elimination against the generic Gauss-Jordan loop
+    over ZMAX and over its order dual: values, saturated pivots, warnings."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_size_and_entry_pool(self, n):
+        rng = random.Random(f"closures:{n}")
+        dual = _OrderDual(ZMAX)
+        for idx in range(len(ENTRY_POOLS) ** 2):
+            for _ in range(2):
+                a = from_rows(ZMAX, _closure_rows(rng, n, idx))
+                star, star_sat = _gauss_jordan(ZMAX, a)
+                meet, meet_sat = _gauss_jordan(dual, a)
+                assert _zmax_closure(a, False) == (star, star_sat), a
+                assert _zmax_closure(a, True) == (meet, meet_sat), a
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert kleene_star(a) == star
+                    assert wedge_closure(a) == meet
+                expected = [
+                    "wedge_closure: strictly decreasing dual circuits close at pivot(s) "
+                    f"{', '.join(str(k + 1) for k in meet_sat)}; the entries they reach are eps"
+                ] if meet_sat else []
+                assert [str(w.message) for w in caught] == expected, a
+                assert all(w.category is DivergenceWarning for w in caught)
 
 
 # ---------------------------------------------------------------------------
