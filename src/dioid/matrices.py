@@ -392,7 +392,6 @@ def _zmax_closure(a: Matrix, conj: bool) -> tuple[Matrix, list[int]]:
         d = rk[k]
         if 0 < d <= bound:
             saturated.append(k)
-        reaches_all = min(rk) >= low
         for i, ri in enumerate(m):
             ik = ri[k]
             # Unchanged: rows that do not reach k, row k when its circuit
@@ -402,7 +401,7 @@ def _zmax_closure(a: Matrix, conj: bool) -> tuple[Matrix, list[int]]:
             if d > 0 or ik > bound:
                 # Through a top entry or a positive circuit: every column that
                 # row k reaches is top.
-                m[i] = all_top if reaches_all else [t if v >= low else x for x, v in zip(ri, rk)]
+                m[i] = all_top if min(rk) >= low else [t if v >= low else x for x, v in zip(ri, rk)]
             else:
                 m[i] = [x if x >= (y := ik + v) else y for x, v in zip(ri, rk)]
     flat = list(chain.from_iterable(m))
