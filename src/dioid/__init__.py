@@ -17,15 +17,7 @@ from .errors import (
     SeriesDomainError,
     ShapeError,
 )
-from .intervals import (
-    IGAMMA,
-    IZMAX,
-    Interval,
-    IntervalSemiring,
-    OrderedPair,
-    pair_project_down,
-    pair_project_up,
-)
+from .intervals import IGAMMA, IZMAX, Interval, IntervalSemiring
 from .matrices import (
     Matrix,
     dual_identity,
@@ -52,18 +44,12 @@ from .matrices import (
 from .oracle import (
     Grid,
     greatest_subsolution,
+    interval_project,
     projector_by_enumeration,
     smallest_supersolution,
     star_by_powers,
 )
-from .projector import (
-    ProjectorProblem,
-    check_hypothesis,
-    interval_project,
-    membership,
-    project,
-    projector_matrix,
-)
+from .projector import check_hypothesis, membership, project, projector_matrix
 from .series import (
     GAMMA,
     Monomial,

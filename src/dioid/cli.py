@@ -24,7 +24,7 @@ from .oracle import (
     smallest_supersolution,
     star_by_powers,
 )
-from .projector import interval_project, project
+from .projector import project
 from .series import GAMMA, sigma_inf
 from .textio import format_matrix, parse_matrix, semiring_by_name
 from .zmax import ZMAX
@@ -71,8 +71,6 @@ def _run_op(op: str, mats: list[Matrix]) -> Matrix:
     if op == "dualstar":
         return wedge_closure(mats[0])
     if op == "project":
-        if mats[0].semiring.kind == "interval":
-            return interval_project(mats[0], mats[1], mats[2])
         return project(mats[0], mats[1], mats[2])
     raise DioidError(f"unknown operation {op!r}")
 
@@ -187,9 +185,12 @@ def main(argv: list[str] | None = None) -> int:
             arity = _OPS[op][0]
             if len(args.inputs) != arity:
                 raise DioidError(f"verify {op}: expected {arity} matrices")
+            try:
+                grid = Grid(args.grid_lo, args.grid_hi)
+            except ValueError as exc:
+                raise DioidError(str(exc)) from None
             mats = [_load(p, semiring) for p in args.inputs]
             result = _run_op(op, mats)
-            grid = Grid(args.grid_lo, args.grid_hi)
             print(_oracle_check(op, mats, result, grid))
             return 0
         mats = [_load(p, semiring) for p in args.inputs]

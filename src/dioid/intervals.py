@@ -3,9 +3,10 @@
 ``Interval(lo, hi)`` stands for the set of elements between its bounds.
 Sum, product and dual product act boundwise; residuals carry a meet (resp.
 join) correction that keeps the bounds ordered, because the two boundwise
-residuals need not be ordered themselves.  Those corrections are exactly
-the residuals of the canonical injection from ordered pairs into plain
-pairs, exposed here as ``pair_project_down`` / ``pair_project_up``.
+residuals need not be ordered themselves: the lower bound of a residual is
+met with the upper one, and the upper bound of a dual residual is joined
+with the lower one.  The interval matrix kernels in ``matrices`` apply the
+same corrections to whole bound matrices.
 
 Constructors reject unordered bounds; the operations never produce them.
 """
@@ -26,24 +27,6 @@ class Interval:
 
     lo: Any
     hi: Any
-
-
-@dataclass(frozen=True)
-class OrderedPair:
-    """A raw pair (first, second); ordering is not enforced."""
-
-    first: Any
-    second: Any
-
-
-def pair_project_down(p: OrderedPair, base) -> OrderedPair:
-    """Greatest ordered pair below p: (first ^ second, second)."""
-    return OrderedPair(base.wedge(p.first, p.second), p.second)
-
-
-def pair_project_up(p: OrderedPair, base) -> OrderedPair:
-    """Smallest ordered pair above p: (first, first (+) second)."""
-    return OrderedPair(p.first, base.oplus(p.first, p.second))
 
 
 class IntervalSemiring:
@@ -70,17 +53,6 @@ class IntervalSemiring:
                 f"{self.base.format(hi)}]"
             )
         return Interval(lo, hi)
-
-    def degenerate(self, x) -> Interval:
-        return Interval(x, x)
-
-    @staticmethod
-    def lower(x: Interval):
-        return x.lo
-
-    @staticmethod
-    def upper(x: Interval):
-        return x.hi
 
     # -- lattice and products (boundwise) ------------------------------
 
@@ -118,11 +90,7 @@ class IntervalSemiring:
         down = b.dualres(a.lo, x.lo)
         return Interval(down, b.oplus(down, b.dualres(a.hi, x.hi)))
 
-    # -- closures -------------------------------------------------------
-
-    def star(self, x: Interval) -> Interval:
-        b = self.base
-        return Interval(b.star(x.lo), b.star(x.hi))
+    # -- projector hypothesis and conjugation -------------------------
 
     def odot_left_ok(self, x: Interval) -> bool:
         b = self.base

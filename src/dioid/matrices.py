@@ -30,8 +30,15 @@ top as K and eps as -3K for (x), top as 3K and eps as -K for (.).  Every
 sum of two codes then lands in one of three disjoint ranges: above 2m where
 the exact result is top, below -2m where it is eps, and the exact finite
 value in between, so one integer max (or min) per entry is exact for
-integers of any size.  Series and interval matrices use one generic fold,
-which stops once its accumulator is absorbing (top for (+), eps for (^)).
+integers of any size.  Series matrices use one generic fold, which stops
+once its accumulator is absorbing (top for (+), eps for (^)).
+
+Interval matrices run every kernel bound by bound, on the bound matrices
+over the base type, so interval max-plus runs the integer kernels.  The
+scalar interval operations act boundwise except for the residuals' order
+corrections, which commute with the fold over the inner index and so apply
+once to the result: the left and right residuals meet the lower bound with
+the upper one, and the dual residual joins the upper bound with the lower.
 
 Both closures are one Gauss-Jordan elimination, exact in O(n^3) scalar
 operations; the meet closure runs it over the order dual of the semiring.
@@ -246,7 +253,7 @@ def _cols(a: Matrix) -> list[tuple]:
 
 def _fold(sr, left, right, term, dual: bool) -> Matrix:
     """Entry (i, j) is the join (meet when ``dual``) over k of
-    term(left[i][k], right[j][k]), for element types without an integer kernel.
+    term(left[i][k], right[j][k]), for series matrices.
 
     A fold stops at the join's absorbing element, top (eps for the meet):
     the terms left would not change it.
@@ -273,6 +280,8 @@ def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, False)
+    if sr.kind == "interval":
+        return _by_bounds(mat_otimes, a, x)
     return _fold(sr, _rows(a), _cols(x), sr.otimes, False)
 
 
@@ -285,6 +294,8 @@ def mat_odot(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, True)
+    if sr.kind == "interval":
+        return _by_bounds(mat_odot, a, x)
     return _fold(sr, _rows(a), _cols(x), sr.odot, True)
 
 
@@ -297,6 +308,8 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, b, True, conj_a=True)
+    if sr.kind == "interval":
+        return _by_bounds(left_residual, a, b, meet_lower=True)
     return _fold(sr, _cols(a), _cols(b), sr.lres, True)
 
 
@@ -309,6 +322,8 @@ def right_residual(c: Matrix, a: Matrix) -> Matrix:
     sr = c.semiring
     if sr is ZMAX:
         return _zmax_product(c, a, True, conj_x=True)
+    if sr.kind == "interval":
+        return _by_bounds(right_residual, c, a, meet_lower=True)
     lres = sr.lres
     return _fold(sr, _rows(c), _rows(a), lambda c_ik, a_jk: lres(a_jk, c_ik), True)
 
@@ -322,6 +337,8 @@ def dual_residual(a: Matrix, x: Matrix) -> Matrix:
     sr = a.semiring
     if sr is ZMAX:
         return _zmax_product(a, x, False, conj_a=True)
+    if sr.kind == "interval":
+        return _by_bounds(dual_residual, a, x, join_upper=True)
     return _fold(sr, _cols(a), _cols(x), sr.dualres, False)
 
 
@@ -443,7 +460,7 @@ def kleene_star(a: Matrix) -> Matrix:
     if sr is ZMAX:
         return _zmax_closure(a, False)[0]
     if sr.kind == "interval":
-        return _join_bounds(sr, kleene_star(_bound_matrix(a, 0)), kleene_star(_bound_matrix(a, 1)))
+        return _by_bounds(kleene_star, a)
     return _gauss_jordan(sr, a)[0]
 
 
@@ -457,9 +474,7 @@ def wedge_closure(b: Matrix) -> Matrix:
     _require_square(b, "wedge_closure")
     sr = b.semiring
     if sr.kind == "interval":
-        lo = wedge_closure(_bound_matrix(b, 0))
-        hi = wedge_closure(_bound_matrix(b, 1))
-        return _join_bounds(sr, lo, hi)
+        return _by_bounds(wedge_closure, b)
     if sr is ZMAX:
         out, saturated = _zmax_closure(b, True)
     else:
@@ -481,24 +496,14 @@ def wedge_closure(b: Matrix) -> Matrix:
     return out
 
 
-def _bound_matrix(a: Matrix, side: int) -> Matrix:
-    sr = a.semiring
-    pick = sr.lower if side == 0 else sr.upper
-    return Matrix(sr.base, a.rows, a.cols, tuple(pick(x) for x in a.entries))
-
-
-def _join_bounds(sr, lo: Matrix, hi: Matrix) -> Matrix:
-    _require_same_shape(lo, hi, "_join_bounds")
-    return Matrix(
-        sr, lo.rows, lo.cols, tuple(sr.make(x, y) for x, y in zip(lo.entries, hi.entries))
-    )
-
-
 def interval_bounds(a: Matrix) -> tuple[Matrix, Matrix]:
     """Split an interval matrix into its lower- and upper-bound matrices."""
-    if a.semiring.kind != "interval":
+    sr = a.semiring
+    if sr.kind != "interval":
         raise ShapeError("interval_bounds: matrix is not over an interval semiring")
-    return _bound_matrix(a, 0), _bound_matrix(a, 1)
+    e = a.entries
+    return (Matrix(sr.base, a.rows, a.cols, tuple(x.lo for x in e)),
+            Matrix(sr.base, a.rows, a.cols, tuple(x.hi for x in e)))
 
 
 def interval_join(semiring, lo: Matrix, hi: Matrix) -> Matrix:
@@ -507,7 +512,23 @@ def interval_join(semiring, lo: Matrix, hi: Matrix) -> Matrix:
         raise ShapeError("interval_join: target semiring is not an interval lift")
     if lo.semiring is not semiring.base or hi.semiring is not semiring.base:
         raise ShapeError("interval_join: bound matrices must live over the base semiring")
-    return _join_bounds(semiring, lo, hi)
+    _require_same_shape(lo, hi, "interval_join")
+    return Matrix(semiring, lo.rows, lo.cols, tuple(map(semiring.make, lo.entries, hi.entries)))
+
+
+def _by_bounds(kernel, *mats: Matrix, meet_lower: bool = False,
+               join_upper: bool = False) -> Matrix:
+    """``kernel`` over interval matrices: run on the lower bounds and on the
+    upper bounds, then meet the lower result with the upper one or join the
+    upper result with the lower one, as the scalar residual corrections do.
+    """
+    lows, highs = zip(*map(interval_bounds, mats))
+    lo, hi = kernel(*lows), kernel(*highs)
+    if meet_lower:
+        lo = mat_wedge(lo, hi)
+    if join_upper:
+        hi = mat_oplus(lo, hi)
+    return interval_join(mats[0].semiring, lo, hi)
 
 
 def negate_transpose(a: Matrix) -> Matrix:

@@ -1,10 +1,16 @@
-"""Independent brute-force verifiers over max-plus matrices.
+"""Independent verifiers: brute force over max-plus matrices, and the
+two-bound interval projector.
 
-These functions never call the residuation or closure routines they are
-meant to check: they enumerate a finite scalar grid or accumulate explicit
-matrix powers.  They back the test suite and the CLI ``verify`` command,
-and are restricted to max-plus scalars, where a bounded grid is exhaustive
-enough to certify extremality.
+The brute-force functions never call the residuation or closure routines
+they are meant to check: they enumerate a finite scalar grid or accumulate
+explicit matrix powers.  They back the test suite and the CLI ``verify``
+command, and are restricted to max-plus scalars, where a bounded grid is
+exhaustive enough to certify extremality.
+
+``interval_project`` cross-checks ``project`` over interval matrices.  It
+reuses the base-type kernels on explicit bound matrices and writes the
+order corrections out by hand, where ``project`` gets them from the interval
+matrix kernels.
 """
 
 from __future__ import annotations
@@ -13,8 +19,21 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import zmax
-from .errors import ShapeError
-from .matrices import Matrix, identity, mat_oplus, mat_otimes
+from .errors import HypothesisError, ShapeError
+from .matrices import (
+    Matrix,
+    dual_residual,
+    identity,
+    interval_bounds,
+    interval_join,
+    kleene_star,
+    left_residual,
+    mat_oplus,
+    mat_otimes,
+    mat_wedge,
+    wedge_closure,
+)
+from .projector import check_hypothesis
 from .zmax import EPS, TOP, Scalar, ZMAX
 
 
@@ -142,16 +161,6 @@ def star_by_powers(a: Matrix) -> Matrix:
     return Matrix(ZMAX, n, n, entries)
 
 
-def feasible(a: Matrix, b: Matrix, y: Matrix) -> bool:
-    """Direct check of A (x) Y <= Y <= B (.) Y from the definitions."""
-    arows = a.to_rows()
-    brows = b.to_rows()
-    return all(
-        _feasible_col(arows, brows, tuple(y.at(i, j) for i in range(y.rows)))
-        for j in range(y.cols)
-    )
-
-
 def _feasible_col(arows: list, brows: list, ycol: tuple) -> bool:
     n = len(arows)
     for i in range(n):
@@ -195,3 +204,27 @@ def projector_by_enumeration(a: Matrix, b: Matrix, x0: Matrix, grid: Grid) -> Ma
         cols.append(best)
     entries = tuple(cols[j][i] for i in range(n) for j in range(x0.cols))
     return Matrix(ZMAX, n, x0.cols, entries)
+
+
+def interval_project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
+    """Interval projector via the explicit two-bound formula.
+
+    With G = B_lo* %% A_lo* and H = G (+) (B_hi* %% A_hi*):
+
+        upper = H* \\ X0_hi
+        lower = (G* \\ X0_lo) ^ upper
+
+    This agrees with running ``project`` on the interval matrices.
+    """
+    if not check_hypothesis(b):
+        raise HypothesisError(
+            "projector: the associativity condition fails for a bound of B"
+        )
+    a_lo, a_hi = interval_bounds(a)
+    b_lo, b_hi = interval_bounds(b)
+    x_lo, x_hi = interval_bounds(x0)
+    g_lo = dual_residual(wedge_closure(b_lo), kleene_star(a_lo))
+    g_hi = dual_residual(wedge_closure(b_hi), kleene_star(a_hi))
+    upper = left_residual(kleene_star(mat_oplus(g_lo, g_hi)), x_hi)
+    lower = mat_wedge(left_residual(kleene_star(g_lo), x_lo), upper)
+    return interval_join(a.semiring, lower, upper)

@@ -16,38 +16,17 @@ maximal under the condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisError, ShapeError
 from .matrices import (
     Matrix,
     dual_residual,
-    interval_bounds,
-    interval_join,
     kleene_star,
     left_residual,
     mat_leq,
     mat_odot,
-    mat_oplus,
     mat_otimes,
-    mat_wedge,
     wedge_closure,
 )
-
-
-@dataclass(frozen=True)
-class ProjectorProblem:
-    """A constraint pair (A, B) with a reference point X0, all one element type."""
-
-    a: Matrix
-    b: Matrix
-    x0: Matrix
-
-    def __post_init__(self) -> None:
-        _validate_shapes(self.a, self.b, self.x0)
-
-    def solve(self) -> Matrix:
-        return project(self.a, self.b, self.x0)
 
 
 def _validate_shapes(a: Matrix, b: Matrix, x0: Matrix) -> None:
@@ -88,10 +67,10 @@ def projector_matrix(a: Matrix, b: Matrix) -> Matrix:
 def project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
     """Greatest Y <= X0 with A (x) Y <= Y <= B (.) Y.
 
-    Works over every supported element type, including interval lifts
-    (where the boundwise residual corrections are built into the interval
-    operations).  Raises ``HypothesisError`` when the soundness condition
-    on B fails.
+    Works over every supported element type.  Over interval lifts every
+    kernel runs bound by bound with the residuals' order corrections, which
+    yields the two-bound formula that ``oracle.interval_project`` spells out.
+    Raises ``HypothesisError`` when the soundness condition on B fails.
     """
     _validate_shapes(a, b, x0)
     if not check_hypothesis(b):
@@ -101,32 +80,3 @@ def project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
         )
     return left_residual(projector_matrix(a, b), x0)
 
-
-def interval_project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
-    """Interval projector via the explicit two-bound formula.
-
-    With G = B_lo* %% A_lo* and H = G (+) (B_hi* %% A_hi*):
-
-        upper = H* \\ X0_hi
-        lower = (G* \\ X0_lo) ^ upper
-
-    This agrees with running ``project`` directly over interval elements.
-    """
-    _validate_shapes(a, b, x0)
-    sr = a.semiring
-    if sr.kind != "interval":
-        raise ShapeError("interval_project: operands must be interval matrices")
-    if not check_hypothesis(b):
-        raise HypothesisError(
-            "projector: the associativity condition fails for a bound of B"
-        )
-    a_lo, a_hi = interval_bounds(a)
-    b_lo, b_hi = interval_bounds(b)
-    x_lo, x_hi = interval_bounds(x0)
-    g_lo = dual_residual(wedge_closure(b_lo), kleene_star(a_lo))
-    g_hi = dual_residual(wedge_closure(b_hi), kleene_star(a_hi))
-    upper_star = kleene_star(mat_oplus(g_lo, g_hi))
-    lower_star = kleene_star(g_lo)
-    upper = left_residual(upper_star, x_hi)
-    lower = mat_wedge(left_residual(lower_star, x_lo), upper)
-    return interval_join(sr, lower, upper)

@@ -45,10 +45,6 @@ TOP = Extreme.TOP
 Scalar = Union[int, Extreme]
 
 
-def is_fin(a: Scalar) -> bool:
-    return not isinstance(a, Extreme)
-
-
 def leq(a: Scalar, b: Scalar) -> bool:
     """a <= b in the order eps <= ... -1 <= 0 <= 1 ... <= top."""
     if a is EPS or b is TOP:

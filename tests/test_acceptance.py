@@ -185,13 +185,13 @@ def test_criterion_3_interval_projector_example():
         blo, bhi = interval_bounds(b)
         lower = kleene_star(dual_residual(wedge_closure(blo), kleene_star(alo)))
         upper = kleene_star(dual_residual(wedge_closure(bhi), kleene_star(ahi)))
-        return lower, upper, interval_project(a, b, x0)
+        return lower, upper, project(a, b, x0)
 
     (lower, upper, p), elapsed = best_of(3, run)
     assert lower == expected_lower_star
     assert upper == expected_upper_star
     assert p == expected_p
-    assert project(a, b, x0) == expected_p  # generic interval-element path
+    assert interval_project(a, b, x0) == expected_p  # two-bound cross-check
     report(3, "interval projector with printed bound closures", elapsed, 0.010)
 
 
@@ -227,9 +227,9 @@ def test_criterion_4_series_interval_projector_example():
         "[6.g3.(18.g1)*,9.g2.(18.g1)*]",
     ])
 
-    p, elapsed = best_of(3, lambda: interval_project(a, b, x0))
+    p, elapsed = best_of(3, lambda: project(a, b, x0))
     assert p == expected
-    assert project(a, b, x0) == expected  # generic interval-element path
+    assert interval_project(a, b, x0) == expected  # two-bound cross-check
     report(4, "series interval projector", elapsed, 0.100)
 
 

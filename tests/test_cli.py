@@ -159,6 +159,13 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "period exponent 100000000" in err
 
+    def test_grid_bounds_out_of_order_is_1(self, workdir, capsys):
+        _, write = workdir
+        m = write("m.mat", "1 1\n0\n")
+        assert main(["verify", "lres", m, m, "--grid-lo", "5", "--grid-hi", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "dioid: error: grid bounds out of order: [5, 1]\n"
+
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir
         a = write("a.mat", "2 3\n1 2 3\n4 5 6\n")

@@ -14,7 +14,6 @@ from dioid import (
     TOP,
     ZMAX,
     Interval,
-    OrderedPair,
     from_rows,
     identity,
     interval_bounds,
@@ -22,8 +21,6 @@ from dioid import (
     kleene_star,
     mat_oplus,
     mat_otimes,
-    pair_project_down,
-    pair_project_up,
     s_oplus,
     star_by_powers,
     wedge_closure,
@@ -50,32 +47,6 @@ SMALL = [EPS, -2, -1, 0, 1, 2, TOP]
 SMALL_INTERVALS = [
     Interval(a, b) for a, b in itertools.product(SMALL, repeat=2) if zmax.leq(a, b)
 ]
-
-
-class TestPairProjections:
-    def test_down(self):
-        assert pair_project_down(OrderedPair(5, 3), ZMAX) == OrderedPair(3, 3)
-        assert pair_project_down(OrderedPair(3, 5), ZMAX) == OrderedPair(3, 5)
-        assert pair_project_down(OrderedPair(TOP, EPS), ZMAX) == OrderedPair(EPS, EPS)
-
-    def test_up(self):
-        assert pair_project_up(OrderedPair(5, 3), ZMAX) == OrderedPair(5, 5)
-        assert pair_project_up(OrderedPair(3, 5), ZMAX) == OrderedPair(3, 5)
-        assert pair_project_up(OrderedPair(TOP, EPS), ZMAX) == OrderedPair(TOP, TOP)
-
-    def test_extremal_among_ordered_pairs(self):
-        # greatest ordered pair below / smallest ordered pair above
-        for p in itertools.product(SMALL, repeat=2):
-            pair = OrderedPair(*p)
-            down = pair_project_down(pair, ZMAX)
-            up = pair_project_up(pair, ZMAX)
-            assert zmax.leq(down.first, down.second)
-            assert zmax.leq(up.first, up.second)
-            for q in SMALL_INTERVALS:
-                if zmax.leq(q.lo, p[0]) and zmax.leq(q.hi, p[1]):
-                    assert zmax.leq(q.lo, down.first) and zmax.leq(q.hi, down.second)
-                if zmax.leq(p[0], q.lo) and zmax.leq(p[1], q.hi):
-                    assert zmax.leq(up.first, q.lo) and zmax.leq(up.second, q.hi)
 
 
 class TestConstruction:

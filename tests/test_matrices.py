@@ -13,6 +13,7 @@ import pytest
 from dioid import (
     EPS,
     GAMMA,
+    IGAMMA,
     IZMAX,
     TOP,
     ZMAX,
@@ -259,15 +260,21 @@ class TestGenericFolds:
         u = rng.random()
         return S_EPS if u < 0.25 else S_TOP if u < 0.35 else rand_series(rng, exp_hi=3, nu_hi=2)
 
+    @classmethod
+    def series_interval(cls, rng):
+        x, y = cls.series(rng), cls.series(rng)
+        return IGAMMA.make(GAMMA.wedge(x, y), GAMMA.oplus(x, y))
+
     @pytest.mark.parametrize("name", sorted(GENERIC_TERMS))
     def test_against_full_folds(self, name):
         rng = random.Random(f"fold:{name}")
         op, dual, term = GENERIC_TERMS[name]
         # The dual product and residual of series take monomial left operands
-        # only, so series run the product and the two residuals.
+        # only, so series and their intervals run the product and the two
+        # residuals.  Interval series run two series folds, one per bound.
         kinds = [(IZMAX, self.interval)]
         if name in ("mat_otimes", "left_residual", "right_residual"):
-            kinds.append((GAMMA, self.series))
+            kinds += [(GAMMA, self.series), (IGAMMA, self.series_interval)]
         for sr, draw in kinds:
             join, unit = (sr.wedge, sr.top) if dual else (sr.oplus, sr.eps)
             for p, q, r in product(range(1, 4), repeat=3):
