@@ -468,23 +468,12 @@ def wedge_closure(b: Matrix) -> Matrix:
     """B_* = E° (^) B (^) B°2 (^) ...: the Kleene star over the order dual.
 
     A strictly decreasing dual circuit drives the entries it reaches to eps;
-    when one is found a ``DivergenceWarning`` names its pivots.  Interval
-    matrices are closed bound by bound.
+    when one is found a ``DivergenceWarning`` names its pivots, those of
+    either bound for an interval matrix.  Interval matrices are closed bound
+    by bound.
     """
     _require_square(b, "wedge_closure")
-    sr = b.semiring
-    if sr.kind == "interval":
-        return _by_bounds(wedge_closure, b)
-    if sr is ZMAX:
-        out, saturated = _zmax_closure(b, True)
-    else:
-        for idx, entry in enumerate(b.entries):
-            if not sr.odot_left_ok(entry):
-                raise SeriesDomainError(
-                    f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
-                    "is not eps, top or a monomial with a finite coefficient"
-                )
-        out, saturated = _gauss_jordan(_OrderDual(sr), b)
+    out, saturated = _wedge_closure(b)
     if saturated:
         pivots = ", ".join(str(k + 1) for k in saturated)
         warnings.warn(
@@ -494,6 +483,23 @@ def wedge_closure(b: Matrix) -> Matrix:
             stacklevel=2,
         )
     return out
+
+
+def _wedge_closure(b: Matrix) -> tuple[Matrix, list[int]]:
+    """The meet closure of a square matrix and its 0-based saturated pivots."""
+    sr = b.semiring
+    if sr.kind == "interval":
+        (lo, s_lo), (hi, s_hi) = map(_wedge_closure, interval_bounds(b))
+        return interval_join(sr, lo, hi), sorted({*s_lo, *s_hi})
+    if sr is ZMAX:
+        return _zmax_closure(b, True)
+    for idx, entry in enumerate(b.entries):
+        if not sr.odot_left_ok(entry):
+            raise SeriesDomainError(
+                f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
+                "is not eps, top or a monomial with a finite coefficient"
+            )
+    return _gauss_jordan(_OrderDual(sr), b)
 
 
 def interval_bounds(a: Matrix) -> tuple[Matrix, Matrix]:

@@ -43,38 +43,28 @@ class Grid:
 
     lo: int = -20
     hi: int = 20
-    include_eps: bool = True
-    include_top: bool = True
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"grid bounds out of order: [{self.lo}, {self.hi}]")
 
     def values(self) -> tuple[Scalar, ...]:
-        out: list[Scalar] = [EPS] if self.include_eps else []
-        out.extend(range(self.lo, self.hi + 1))
-        if self.include_top:
-            out.append(TOP)
-        return tuple(out)
+        return (EPS, *range(self.lo, self.hi + 1), TOP)
 
     def clamp_down(self, v: Scalar) -> Scalar:
         """Greatest grid element below or equal to v."""
         if v is TOP:
-            return TOP if self.include_top else self.hi
-        if v is EPS or (self.include_eps and v < self.lo):
+            return TOP
+        if v is EPS or v < self.lo:
             return EPS
-        if v < self.lo:
-            raise ValueError(f"{v} below a grid without eps")
         return min(v, self.hi)
 
     def clamp_up(self, v: Scalar) -> Scalar:
         """Smallest grid element above or equal to v."""
         if v is EPS:
-            return EPS if self.include_eps else self.lo
-        if v is TOP or (self.include_top and v > self.hi):
+            return EPS
+        if v is TOP or v > self.hi:
             return TOP
-        if v > self.hi:
-            raise ValueError(f"{v} above a grid without top")
         return max(v, self.lo)
 
 

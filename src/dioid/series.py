@@ -36,13 +36,12 @@ into an event array and takes a running max.  ``_reconstruct`` reads the
 steps, the minimal period and the earliest rank straight off the ints.  Two
 windows are joined or met by comparing ints on their common finite stretch,
 and a residual value is one minimum over the denominator's steps.  Eps and
-top sit only at the ends of a window, so they are located, not compared; a
-table call per value is left only where they enter a residual's terms.
+top sit only at the ends of a window, so they are located, not compared.
 
 Operations expect canonical operands, as every constructor function and
-operation returns them.  So a product or residual by a finite monomial
-shifts the other operand, and a join or meet whose window equals an
-operand's returns that operand, without rebuilding either.
+operation returns them.  So a product by a monomial, or a residual by a
+finite one, shifts the other operand, and a join or meet whose window equals
+an operand's returns that operand, without rebuilding either.
 """
 
 from __future__ import annotations
@@ -433,13 +432,6 @@ def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
     return Series(transient, pattern, s.period)
 
 
-def _finite_part(s: Series) -> Series:
-    """The series with a saturating top monomial removed."""
-    if _top_tail_exp(s) is None:
-        return s
-    return Series(s.transient[:-1], (), None) if len(s.transient) > 1 else S_EPS
-
-
 # ---------------------------------------------------------------------------
 # Semiring operations
 # ---------------------------------------------------------------------------
@@ -495,6 +487,27 @@ def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
     return out
 
 
+def _crossing(a: Series, b: Series, lo: int) -> tuple[int, int, int, int]:
+    """(tau_a, tau_b, v, rank) for two series, neither eps nor saturating:
+    their growths over the common period v, and a rank from which both
+    recurrences hold and the steeper operand stays at or above the other.
+    Past that rank a join follows the steeper operand and a meet the flatter
+    one."""
+    gta, gna, ra = _growth(a)
+    gtb, gnb, rb = _growth(b)
+    v = math.lcm(gna, gnb)
+    tau_a, tau_b = gta * (v // gna), gtb * (v // gnb)
+    r0 = max(ra, rb)
+    if tau_a == tau_b:
+        return tau_a, tau_b, v, r0
+    steep, flat = (a, b) if tau_a > tau_b else (b, a)
+    # The caller's window reaches past r0 + 2v: refuse it before allocating.
+    # Past both ranks the values are finite.
+    _check_window(lo, r0 + 2 * v)
+    d = max(map(sub, values(flat, r0, r0 + v - 1), values(steep, r0, r0 + v - 1)))
+    return tau_a, tau_b, v, r0 if d <= 0 else r0 + (d // abs(tau_a - tau_b) + 1) * v
+
+
 def s_oplus(a: Series, b: Series) -> Series:
     """Least upper bound: pointwise max."""
     if is_eps(a):
@@ -509,27 +522,9 @@ def s_oplus(a: Series, b: Series) -> Series:
         jt = min(x for x in (ta, tb) if x is not None)
         va, vb = _window_values(a, b, lo, jt + 2)
         return _settle(a, b, va, vb, _join(va, vb), lo, 0, 1, jt)
-
-    gta, gna, ra = _growth(a)
-    gtb, gnb, rb = _growth(b)
-    v = math.lcm(gna, gnb)
-    big_a = gta * (v // gna)
-    big_b = gtb * (v // gnb)
-    r0 = max(ra, rb)
-    if big_a == big_b:
-        rc, t_res = r0, big_a
-    else:
-        win, lose = (a, b) if big_a > big_b else (b, a)
-        t_win, t_lose = max(big_a, big_b), min(big_a, big_b)
-        # The final window reaches past r0 + 2v: refuse it before allocating.
-        # Past both ranks the values are finite, since neither operand is eps
-        # or saturates.
-        _check_window(lo, r0 + 2 * v)
-        d = max(map(sub, values(lose, r0, r0 + v - 1), values(win, r0, r0 + v - 1)))
-        rc = r0 if d <= 0 else r0 + (d // (t_win - t_lose) + 1) * v
-        t_res = t_win
-    va, vb = _window_values(a, b, lo, rc + 2 * v)
-    return _settle(a, b, va, vb, _join(va, vb), lo, t_res, v, rc)
+    tau_a, tau_b, v, rank = _crossing(a, b, lo)
+    va, vb = _window_values(a, b, lo, rank + 2 * v)
+    return _settle(a, b, va, vb, _join(va, vb), lo, max(tau_a, tau_b), v, rank)
 
 
 def s_wedge(a: Series, b: Series) -> Series:
@@ -542,34 +537,16 @@ def s_wedge(a: Series, b: Series) -> Series:
         return a
     lo = min(_min_exp(a), _min_exp(b))
     ta, tb = _top_tail_exp(a), _top_tail_exp(b)
-    gta, gna, ra = _growth(a)
-    gtb, gnb, rb = _growth(b)
-    if ta is not None and tb is not None:
-        rank = max(ta, tb)
-        va, vb = _window_values(a, b, lo, rank + 2)
-        return _settle(a, b, va, vb, _meet(va, vb), lo, 0, 1, rank)
     if ta is not None or tb is not None:
-        # min against a saturating series: the finite one wins its tail
-        fin_t, fin_n = (gtb, gnb) if ta is not None else (gta, gna)
-        rank = max(ra, rb)
-        va, vb = _window_values(a, b, lo, rank + 2 * fin_n)
-        return _settle(a, b, va, vb, _meet(va, vb), lo, fin_t, fin_n, rank)
-
-    v = math.lcm(gna, gnb)
-    big_a = gta * (v // gna)
-    big_b = gtb * (v // gnb)
-    r0 = max(ra, rb)
-    if big_a == big_b:
-        rc, t_res = r0, big_a
-    else:
-        win, lose = (a, b) if big_a < big_b else (b, a)
-        t_win, t_lose = min(big_a, big_b), max(big_a, big_b)
-        _check_window(lo, r0 + 2 * v)
-        d = max(map(sub, values(win, r0, r0 + v - 1), values(lose, r0, r0 + v - 1)))
-        rc = r0 if d <= 0 else r0 + (d // (t_lose - t_win) + 1) * v
-        t_res = t_win
-    va, vb = _window_values(a, b, lo, rc + 2 * v)
-    return _settle(a, b, va, vb, _meet(va, vb), lo, t_res, v, rc)
+        # Against a saturating series the other one wins its tail; a
+        # saturating polynomial has growth (0, 1) from its top step.
+        tau, nu, _ = _growth(b if ta is not None else a)
+        rank = max(_growth(a)[2], _growth(b)[2])
+        va, vb = _window_values(a, b, lo, rank + 2 * nu)
+        return _settle(a, b, va, vb, _meet(va, vb), lo, tau, nu, rank)
+    tau_a, tau_b, v, rank = _crossing(a, b, lo)
+    va, vb = _window_values(a, b, lo, rank + 2 * v)
+    return _settle(a, b, va, vb, _meet(va, vb), lo, min(tau_a, tau_b), v, rank)
 
 
 def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
@@ -584,22 +561,7 @@ def s_otimes(a: Series, b: Series) -> Series:
         return S_EPS
     if a.all_top or b.all_top:
         return S_TOP
-    ta, tb = _top_tail_exp(a), _top_tail_exp(b)
-    if ta is not None or tb is not None:
-        fa, fb = _finite_part(a), _finite_part(b)
-        parts: list[Series] = []
-        if not is_eps(fa) and not is_eps(fb):
-            parts.append(s_otimes(fa, fb))
-        if ta is not None:
-            parts.append(Series((Monomial(TOP, ta + _min_exp(b)),), (), None))
-        if tb is not None:
-            parts.append(Series((Monomial(TOP, tb + _min_exp(a)),), (), None))
-        out = parts[0]
-        for p in parts[1:]:
-            out = s_oplus(out, p)
-        return out
-
-    # A finite monomial factor only shifts the other operand, and shifting
+    # A monomial factor only shifts the other operand, and shifting
     # a canonical form keeps it canonical.
     if is_monomial(a):
         return _shift_series(b, a.transient[0].coeff, a.transient[0].exp)
@@ -668,21 +630,19 @@ def s_lres(a: Series, b: Series) -> Series:
     ks, cs = _steps(a_vals, 0, ta)
 
     # x(j) = min over k in [na0, k_max] of b(j + k) - a(k), with i = j - lo
-    # the offset of b(j + na0) in b_vals.  Within a run where a is constant
-    # the first k gives the least term, as b does not decrease; so when the
-    # terms are finite only a's steps below k_max count.
+    # the offset of b(j + na0) in b_vals.  A first term with b eps is eps.
+    # Terms where b is top are top, the unit of the meet, so the range stops
+    # at b's top; a term where a is top before that is eps.  Within a run
+    # where a is constant the first k gives the least term, as b does not
+    # decrease; so only a's steps below the stop count.
     out: list[Scalar] = []
     for i, j in enumerate(range(lo, hi + 1)):
-        m = max(ra, rb - j) + v - na0 + 1  # terms k = na0 .. k_max
-        if m <= ta and eb <= i and i + m <= tb:
-            out.append(min([b_vals[i + k] - c for k, c in zip(ks[:bisect_left(ks, m)], cs)]))
-            continue
-        best: Scalar = TOP
-        for av, bv in zip(a_vals[:m], b_vals[i:i + m]):
-            best = zmax.wedge(best, zmax.lres(av, bv))
-            if best is EPS:
-                break
-        out.append(best)
+        m = min(max(ra, rb - j) + v - na0 + 1, tb - i)  # terms k = na0 .. na0 + m - 1
+        if i < eb or m > ta:
+            out.append(EPS)
+        else:
+            out.append(min([b_vals[i + k] - c for k, c in zip(ks[:bisect_left(ks, m)], cs)],
+                           default=TOP))
     return _reconstruct(out, lo, big_b, v, rank_x)
 
 
@@ -708,10 +668,6 @@ def mono_odot(m: Series, s: Series) -> Series:
     mono = m.transient[0]
     if mono.coeff is TOP:
         return S_TOP
-    if is_eps(s):
-        return S_EPS
-    if s.all_top:
-        return S_TOP
     return _shift_series(s, mono.coeff, mono.exp)
 
 
@@ -725,10 +681,6 @@ def mono_dualres(m: Series, s: Series) -> Series:
     mono = m.transient[0]
     if mono.coeff is TOP:
         return S_EPS
-    if is_eps(s):
-        return S_EPS
-    if s.all_top:
-        return S_TOP
     return _shift_series(s, -mono.coeff, -mono.exp)
 
 
@@ -794,11 +746,6 @@ def s_star(s: Series) -> Series:
         return S_TOP
     if _min_exp(s) < 0:
         raise SeriesDomainError("star of a series with negative exponents is not representable")
-    tt = _top_tail_exp(s)
-    if tt is not None:
-        fin = _finite_part(s)
-        base = s_star(fin) if not is_eps(fin) else S_ONE
-        return s_oplus(base, from_monomials([Monomial(TOP, tt)]))
     if s.period is None:
         return _poly_star(list(s.transient))
     u = _poly_star(list(s.pattern) + [s.period])
@@ -857,12 +804,6 @@ def parse_series(text: str) -> Series:
     body = text.strip()
     if not body:
         raise ParseError("empty series literal")
-    if body == "eps":
-        return S_EPS
-    if body == "top":
-        return S_TOP
-    if body == "e":
-        return S_ONE
     out = S_EPS
     for offset, term in _split_terms(body):
         if term == "eps":

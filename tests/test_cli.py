@@ -159,6 +159,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "period exponent 100000000" in err
 
+    def test_long_period_residual_ends_quickly(self, workdir, capsys):
+        _, write = workdir
+        a = write("a.mat", "2 2\n0.g0.(1.g4097)* 1.g1\n2.g0 0.g0.(1.g4097)*\n")
+        b = write("b.mat", "2 2\ntop.g2 3.g1\ntop.g5 4.g0\n")
+        start = time.perf_counter()
+        assert main(["lres", "--type", "series", a, b]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "top.g5 eps\ntop.g5 eps\n"
+
     def test_grid_bounds_out_of_order_is_1(self, workdir, capsys):
         _, write = workdir
         m = write("m.mat", "1 1\n0\n")

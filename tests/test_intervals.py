@@ -168,6 +168,19 @@ class TestClosures:
             dlo, dhi = interval_bounds(wedge_closure(m))
             assert dlo == wedge_closure(lo) and dhi == wedge_closure(hi)
 
+    def test_meet_closure_warns_once_at_the_caller(self):
+        # pivot 1 diverges on the lower bound only, pivot 2 on both bounds
+        import warnings
+
+        m = from_rows(IZMAX, [[iv(-1, 0), iv(TOP)], [iv(TOP), iv(-3, -2)]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = wedge_closure(m)
+        assert [w.category for w in caught] == [DivergenceWarning]
+        assert caught[0].filename == __file__
+        assert "pivot(s) 1, 2" in str(caught[0].message)
+        assert out.at(0, 0) == iv(EPS, 0) and out.at(1, 1) == iv(EPS)
+
     def test_interval_star_against_power_sums(self):
         # the star of each bound from explicit powers, independent of the
         # elimination

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,8 +331,10 @@ class TestStar:
 
     def test_star_by_powers_oracle(self):
         rng = random.Random(106)
-        for _ in range(25):
+        for i in range(40):
             s = rand_positive_series(rng)
+            if i % 2:
+                s = s_oplus(s, g(f"top.g{rng.randint(1, 12)}"))
             st = s_star(s)
             # partial sums of explicit powers lower-approximate the star;
             # every exponent of s is >= 1 so 13 powers settle exponents < 13
@@ -550,7 +553,7 @@ class TestWindowValues:
 
 
 class TestResidualFallback:
-    """Residual values whose terms meet eps or top take the table path."""
+    """Residual values whose terms meet eps or top."""
 
     def test_saturating_operands(self):
         # a is top from exponent 3 on and b from 6 on: x(j) >= 3 needs every
@@ -567,6 +570,13 @@ class TestResidualFallback:
                 want = zmax.wedge(want, zmax.lres(k, eval_series(b, j + k)))
             assert value_at(x, j) == want
         assert x == g("0.g0+1.g1+2.g2+3.g3+4.g4+top.g5")
+
+    def test_long_period_under_a_saturating_denominator(self):
+        # every term past b's top is top, so the cost must not grow with
+        # a's period
+        start = time.perf_counter()
+        assert s_lres(g("0.g0.(1.g4097)*"), g("top.g2")) == g("top.g2")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConstructorChecks:
