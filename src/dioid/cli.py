@@ -11,6 +11,7 @@ when ``-o`` is given.  Exit status: 0 on success, 1 on a domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -45,12 +46,14 @@ _VERIFIABLE = ("lres", "dualres", "star", "project")
 
 def _load(path: str, semiring) -> Matrix:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DioidError(f"cannot read {path}: {exc}") from None
     try:
-        return parse_matrix(text, semiring)
+        return parse_matrix(data.decode("ascii"), semiring)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -128,7 +131,10 @@ def _cmd_slope(m: Matrix) -> str:
     return "\n".join(rows) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args does not change the parser, and
+    # argparse writes usage errors to the sys.stderr of the moment.
     parser = argparse.ArgumentParser(
         prog="dioid",
         description="Exact matrix algebra over idempotent semirings",

@@ -775,8 +775,9 @@ def s_leq(a: Series, b: Series) -> bool:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^(?P<t>-?\d+|top|eps|e)\.g(?P<n>-?\d+)"
-    r"(?:\.\((?P<pt>-?\d+)\.g(?P<pn>-?\d+)\)\*)?$"
+    r"(?P<t>-?\d+|top|eps|e)\.g(?P<n>-?\d+)"
+    r"(?:\.\((?P<pt>-?\d+)\.g(?P<pn>-?\d+)\)\*)?",
+    re.ASCII,
 )
 
 
@@ -814,7 +815,7 @@ def parse_series(text: str) -> Series:
         if term == "e":
             out = s_oplus(out, S_ONE)
             continue
-        m = _TERM_RE.match(term)
+        m = _TERM_RE.fullmatch(term)
         if m is None:
             raise ParseError(f"invalid series term {term!r} at offset {offset}")
         mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .intervals import IGAMMA, IZMAX
-from .matrices import Matrix, from_rows
+from .matrices import Matrix
 from .series import GAMMA
 from .zmax import ZMAX
 
@@ -47,26 +47,30 @@ def parse_matrix(text: str, semiring) -> Matrix:
         raise ParseError(f"line 1: dimensions must be positive, got {rows} {cols}")
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}")
-    data = []
+    parse = semiring.parse
+    entries: list = []
     for r, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if len(tokens) != cols:
             raise ParseError(f"line {r}: expected {cols} entries, found {len(tokens)}")
-        row = []
-        for c, tok in enumerate(tokens, start=1):
-            try:
-                row.append(semiring.parse(tok))
-            except ParseError as exc:
-                raise ParseError(f"line {r}, entry {c}: {exc}") from None
-        data.append(row)
-    return from_rows(semiring, data)
+        try:
+            entries += map(parse, tokens)
+        except ParseError:
+            # Only a failing row is scanned again, to name the entry.
+            for c, tok in enumerate(tokens, start=1):
+                try:
+                    parse(tok)
+                except ParseError as exc:
+                    raise ParseError(f"line {r}, entry {c}: {exc}") from None
+            raise
+    return Matrix(semiring, rows, cols, tuple(entries))
 
 
 def format_matrix(m: Matrix, header: bool = True) -> str:
     """Render a matrix; with the header the output re-parses bit-exactly."""
-    sr = m.semiring
+    fmt, entries, cols = m.semiring.format, m.entries, m.cols
     body = "\n".join(
-        " ".join(sr.format(m.at(i, j)) for j in range(m.cols)) for i in range(m.rows)
+        " ".join(map(fmt, entries[k : k + cols])) for k in range(0, len(entries), cols)
     )
     if header:
         return f"{m.rows} {m.cols}\n{body}\n"

@@ -21,7 +21,6 @@ Values are immutable; all functions are pure and thread-safe.
 from __future__ import annotations
 
 import enum
-import re
 from typing import Union
 
 from .errors import ParseError
@@ -144,18 +143,16 @@ def conj(a: Scalar) -> Scalar:
     return -a
 
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_NAMED = {"eps": EPS, "top": TOP, "e": 0}
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse ``eps``, ``top``, ``e`` (alias of 0) or a signed integer."""
-    if text == "eps":
-        return EPS
-    if text == "top":
-        return TOP
-    if text == "e":
-        return 0
-    if _INT_RE.match(text):
+    """Parse ``eps``, ``top``, ``e`` (alias of 0) or a signed ASCII integer."""
+    named = _NAMED.get(text)
+    if named is not None:
+        return named
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isdigit() and digits.isascii():
         return parse_int(text)
     raise ParseError(f"invalid scalar literal {text!r}")
 

@@ -180,5 +180,40 @@ class TestExitCodes:
         a = write("a.mat", "2 3\n1 2 3\n4 5 6\n")
         assert main(["star", a]) == 1
 
+    def test_non_ascii_byte_is_parse_error(self, workdir, capsys):
+        tmp, _ = workdir
+        m = tmp / "m.mat"
+        m.write_bytes(b"1 1\n\xc3\xa9\n")
+        assert main(["star", str(m)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dioid: parse error: {m}: non-ASCII byte at offset 4\n"
+
     def test_missing_file_is_1(self, workdir, capsys):
         assert main(["star", "/nonexistent/x.mat"]) == 1
+
+
+class TestInProcessSequence:
+    def test_calls_share_no_state(self, workdir, capsys):
+        # One parser serves every call in a process: no option or output
+        # file of one call may leak into the next.
+        tmp, write = workdir
+        c = write("c.mat", "3 2\n1 2\n3 4\n5 6\n")
+        b = write("b.mat", "3 1\n8\n9\n10\n")
+        out = tmp / "out.mat"
+        assert main(["lres", c, b, "--verify", "-o", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "5\n4\n"
+        assert captured.err == "verify lres: oracle agrees\n"
+        assert out.read_text() == "2 1\n5\n4\n"
+        out.write_text("kept\n")
+        assert main(["lres", c, b]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("5\n4\n", "")
+        assert out.read_text() == "kept\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["lres", c])
+        assert exc.value.code == 2
+        assert "usage: dioid lres" in capsys.readouterr().err
+        a = write("a.mat", "2 3\n1 top 3\n4 eps 6\n")
+        assert main(["prod", a, b]) == 0
+        assert capsys.readouterr() == ("top\n16\n", "")

@@ -641,3 +641,9 @@ class TestTextForm:
         for bad in ("", "4.g", "g4", "4.g1.(x)*", "4.g1+", "(3.g1)*"):
             with pytest.raises(ParseError):
                 g(bad)
+
+    @pytest.mark.parametrize("bad", ["\u0663.g1", "3.g\u0663", "3.g1.(1.g\u0663)*",
+                                     "\uff13.g1+1.g0"])
+    def test_rejects_non_ascii_digits(self, bad):
+        with pytest.raises(ParseError):
+            g(bad)

@@ -58,9 +58,14 @@ class TestErrors:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n1 2 3\n", ZMAX)
 
-    def test_bad_literal_position(self):
+    @pytest.mark.parametrize("semiring,text", [
+        (ZMAX, "2 3\n1 2 3\n4 frog 6\n"),
+        (GAMMA, "2 3\n1.g0 e eps\n2.g1 4.g1.(x)* top\n"),
+        (IZMAX, "2 3\n[1,2] 3 eps\n[0,4] [5,frog] [top,top]\n"),
+    ], ids=["maxplus", "series", "interval-maxplus"])
+    def test_bad_literal_position(self, semiring, text):
         with pytest.raises(ParseError, match="line 3, entry 2"):
-            parse_matrix("2 2\n1 2\n3 frog\n", ZMAX)
+            parse_matrix(text, semiring)
 
     def test_empty(self):
         with pytest.raises(ParseError):

@@ -164,7 +164,8 @@ class TestAssociativityCondition:
 
 class TestTextForm:
     @pytest.mark.parametrize("text,value", [("eps", EPS), ("top", TOP), ("e", 0),
-                                            ("-17", -17), ("42", 42), ("+3", 3)])
+                                            ("-17", -17), ("42", 42), ("+3", 3),
+                                            ("+5", 5), ("-0", 0)])
     def test_parse(self, text, value):
         assert zmax.parse_scalar(text) == value
 
@@ -174,6 +175,11 @@ class TestTextForm:
         assert zmax.parse_scalar(zmax.format_scalar(a)) == a
 
     def test_rejects_garbage(self):
-        for bad in ("", "1.5", "too", "eps ", "--3"):
+        for bad in ("", "1.5", "too", "eps ", "--3", "+", "1_000", " 5"):
             with pytest.raises(ParseError):
                 zmax.parse_scalar(bad)
+
+    @pytest.mark.parametrize("bad", ["\u0663", "-\u0663", "\uff15", "\u00b2", "5\n"])
+    def test_rejects_non_ascii_digits_and_trailing_newline(self, bad):
+        with pytest.raises(ParseError):
+            zmax.parse_scalar(bad)
