@@ -71,7 +71,7 @@ from .series import (
     s_wedge,
     sigma_inf,
 )
-from .textio import SEMIRINGS, format_matrix, parse_matrix, semiring_by_name
+from .textio import SEMIRINGS, format_matrix, parse_matrix
 from .zmax import EPS, TOP, ZMAX, Scalar
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,12 @@
 """Command-line front end.
 
-Subcommands mirror the library: ``prod``, ``dualprod``, ``lres``, ``rres``,
-``dualres``, ``star``, ``dualstar``, ``project``, ``verify`` and ``slope``.
+``_OPS`` is the one table of matrix subcommands: ``prod``, ``dualprod``,
+``lres``, ``rres``, ``dualres``, ``star``, ``dualstar`` and ``project``,
+each with its kernel, arity and help.  ``verify OP`` runs ``lres``,
+``dualres``, ``star`` or ``project`` on max-plus inputs, compares the result
+with a brute-force oracle and prints ``verify OP: oracle agrees``; ``slope``
+prints the asymptotic slope of every entry of a series matrix.
+
 Inputs are matrix files (header line ``rows cols`` then rows of literals);
 the result is printed to stdout as bare rows and written with the header
 when ``-o`` is given.  Exit status: 0 on success, 1 on a domain error,
@@ -27,18 +32,21 @@ from .oracle import (
 )
 from .projector import project
 from .series import GAMMA, sigma_inf
-from .textio import format_matrix, parse_matrix, semiring_by_name
+from .textio import SEMIRINGS, format_matrix, parse_matrix
 from .zmax import ZMAX
 
+# Subcommand -> (kernel, arity, help).  Kernels are named and looked up in
+# this module when they run, so a wrapper bound over the module's names (the
+# benchmark's tracer) sees the calls.
 _OPS = {
-    "prod": (2, "product A (x) B"),
-    "dualprod": (2, "dual product A (.) B"),
-    "lres": (2, "greatest X with A (x) X <= B"),
-    "rres": (2, "greatest X with X (x) A <= C (arguments: C A)"),
-    "dualres": (2, "smallest Y with A (.) Y >= X"),
-    "star": (1, "additive closure A*"),
-    "dualstar": (1, "meet closure B_*"),
-    "project": (3, "greatest Y <= X0 with A (x) Y <= Y <= B (.) Y"),
+    "prod": ("mat_otimes", 2, "product A (x) B"),
+    "dualprod": ("mat_odot", 2, "dual product A (.) B"),
+    "lres": ("left_residual", 2, "greatest X with A (x) X <= B"),
+    "rres": ("right_residual", 2, "greatest X with X (x) A <= C (arguments: C A)"),
+    "dualres": ("dual_residual", 2, "smallest Y with A (.) Y >= X"),
+    "star": ("kleene_star", 1, "additive closure A*"),
+    "dualstar": ("wedge_closure", 1, "meet closure B_*"),
+    "project": ("project", 3, "greatest Y <= X0 with A (x) Y <= Y <= B (.) Y"),
 }
 
 _VERIFIABLE = ("lres", "dualres", "star", "project")
@@ -54,58 +62,43 @@ def _load(path: str, semiring) -> Matrix:
         return parse_matrix(data.decode("ascii"), semiring)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except DioidError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _run_op(op: str, mats: list[Matrix]) -> Matrix:
-    if op == "prod":
-        return mat_otimes(mats[0], mats[1])
-    if op == "dualprod":
-        return mat_odot(mats[0], mats[1])
-    if op == "lres":
-        return left_residual(mats[0], mats[1])
-    if op == "rres":
-        return right_residual(mats[0], mats[1])
-    if op == "dualres":
-        return dual_residual(mats[0], mats[1])
-    if op == "star":
-        return kleene_star(mats[0])
-    if op == "dualstar":
-        return wedge_closure(mats[0])
-    if op == "project":
-        return project(mats[0], mats[1], mats[2])
-    raise DioidError(f"unknown operation {op!r}")
+def _run(op: str, mats: list[Matrix]) -> Matrix:
+    return globals()[_OPS[op][0]](*mats)
 
 
-def _oracle_check(op: str, mats: list[Matrix], result: Matrix, grid: Grid) -> str:
-    """Compare a result with the matching brute-force oracle."""
-    if mats[0].semiring is not ZMAX:
-        raise DioidError("verification is available for --type maxplus only")
+def _format(m: Matrix, header: bool) -> str:
+    try:
+        return format_matrix(m, header)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise DioidError("cannot print the result: an entry has more digits than the "
+                         "interpreter converts (PYTHONINTMAXSTRDIGITS sets the limit)") from None
+
+
+def _verify(op: str, mats: list[Matrix], grid: Grid) -> str:
+    """Run ``op`` and compare its result with the matching brute-force oracle."""
+    if op == "project" and (mats[0].rows > 2 or mats[2].cols != 1):
+        raise DioidError("verify project: enumeration covers n <= 2 with a single column")
+    got = _run(op, mats)
     if op == "lres":
         expect = greatest_subsolution(mats[0], mats[1], grid)
-        got = Matrix(ZMAX, result.rows, result.cols,
-                     tuple(grid.clamp_down(v) for v in result.entries))
+        got = Matrix(ZMAX, got.rows, got.cols, tuple(map(grid.clamp_down, got.entries)))
     elif op == "dualres":
         expect = smallest_supersolution(mats[0], mats[1], grid)
-        got = Matrix(ZMAX, result.rows, result.cols,
-                     tuple(grid.clamp_up(v) for v in result.entries))
+        got = Matrix(ZMAX, got.rows, got.cols, tuple(map(grid.clamp_up, got.entries)))
     elif op == "star":
         expect = star_by_powers(mats[0])
-        got = result
-    elif op == "project":
-        if mats[0].rows > 2 or mats[2].cols != 1:
-            raise DioidError("verify project: enumeration covers n <= 2 with a single column")
-        expect = projector_by_enumeration(mats[0], mats[1], mats[2], grid)
-        got = result
     else:
-        raise DioidError(f"no oracle for operation {op!r}")
+        expect = projector_by_enumeration(mats[0], mats[1], mats[2], grid)
     if expect != got:
         raise DioidError(
-            f"oracle disagrees for {op}:\noracle:\n{format_matrix(expect)}"
-            f"computed:\n{format_matrix(got)}"
+            f"oracle disagrees for {op}:\noracle:\n{_format(expect, True)}"
+            f"computed:\n{_format(got, True)}"
         )
-    return f"verify {op}: oracle agrees"
+    return f"verify {op}: oracle agrees\n"
 
 
 def _format_slope(value) -> str:
@@ -141,72 +134,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_type(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--type",
             "-t",
             default="maxplus",
-            choices=("maxplus", "series", "interval-maxplus", "interval-series"),
+            choices=SEMIRINGS,
             help="element type of every input matrix",
         )
-        p.add_argument("-o", "--output", help="also write the result to this file (with header)")
 
-    for op, (arity, help_text) in _OPS.items():
+    for op, (_, arity, help_text) in _OPS.items():
         p = sub.add_parser(op, help=help_text)
         p.add_argument("inputs", nargs=arity, metavar="MATRIX")
-        add_common(p)
-        if op in _VERIFIABLE:
-            p.add_argument(
-                "--verify",
-                action="store_true",
-                help="re-check the result against the brute-force oracle (maxplus only)",
-            )
+        add_type(p)
+        p.add_argument("-o", "--output", help="also write the result to this file (with header)")
 
     p = sub.add_parser("verify", help="run an operation and its oracle, report agreement")
     p.add_argument("operation", choices=_VERIFIABLE)
     p.add_argument("inputs", nargs="+", metavar="MATRIX")
-    add_common(p)
+    add_type(p)
     p.add_argument("--grid-lo", type=int, default=-20)
     p.add_argument("--grid-hi", type=int, default=20)
 
     p = sub.add_parser("slope", help="asymptotic slope of every entry of a series matrix")
     p.add_argument("inputs", nargs=1, metavar="MATRIX")
-    add_common(p)
+    add_type(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    semiring = SEMIRINGS[args.type]
     try:
-        semiring = semiring_by_name(args.type)
         if args.command == "slope":
             if semiring is not GAMMA and getattr(semiring, "base", None) is not GAMMA:
                 raise DioidError("slope: requires --type series or interval-series")
-            matrix = _load(args.inputs[0], semiring)
-            sys.stdout.write(_cmd_slope(matrix))
+            sys.stdout.write(_cmd_slope(_load(args.inputs[0], semiring)))
             return 0
         if args.command == "verify":
             op = args.operation
-            arity = _OPS[op][0]
+            arity = _OPS[op][1]
             if len(args.inputs) != arity:
                 raise DioidError(f"verify {op}: expected {arity} matrices")
+            if semiring is not ZMAX:
+                raise DioidError("verification is available for --type maxplus only")
             try:
                 grid = Grid(args.grid_lo, args.grid_hi)
             except ValueError as exc:
                 raise DioidError(str(exc)) from None
-            mats = [_load(p, semiring) for p in args.inputs]
-            result = _run_op(op, mats)
-            print(_oracle_check(op, mats, result, grid))
+            sys.stdout.write(_verify(op, [_load(p, semiring) for p in args.inputs], grid))
             return 0
-        mats = [_load(p, semiring) for p in args.inputs]
-        result = _run_op(args.command, mats)
-        sys.stdout.write(format_matrix(result, header=False))
+        result = _run(args.command, [_load(p, semiring) for p in args.inputs])
+        sys.stdout.write(_format(result, False))
         if args.output:
             with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(format_matrix(result, header=True))
-        if getattr(args, "verify", False):
-            print(_oracle_check(args.command, mats, result, Grid()), file=sys.stderr)
+                fh.write(_format(result, True))
         return 0
     except ParseError as exc:
         print(f"dioid: parse error: {exc}", file=sys.stderr)

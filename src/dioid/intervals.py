@@ -108,28 +108,19 @@ class IntervalSemiring:
         return f"[{self.base.format(x.lo)},{self.base.format(x.hi)}]"
 
     def parse(self, text: str) -> Interval:
+        """``[LO,HI]`` with ordered bounds, or a bare base literal for a
+        degenerate interval.  Base literals hold no comma or bracket, so
+        the first comma splits the bounds."""
         body = text.strip()
-        if body.startswith("["):
-            if not body.endswith("]"):
-                raise ParseError(f"unterminated interval literal {text!r}")
-            inner = body[1:-1]
-            depth = 0
-            comma = -1
-            for i, ch in enumerate(inner):
-                if ch in "([":
-                    depth += 1
-                elif ch in ")]":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    comma = i
-                    break
-            if comma < 0:
-                raise ParseError(f"interval literal needs two bounds: {text!r}")
-            lo = self.base.parse(inner[:comma].strip())
-            hi = self.base.parse(inner[comma + 1 :].strip())
-            return self.make(lo, hi)
-        value = self.base.parse(body)
-        return Interval(value, value)
+        if not body.startswith("["):
+            value = self.base.parse(body)
+            return Interval(value, value)
+        if not body.endswith("]"):
+            raise ParseError(f"unterminated interval literal {text!r}")
+        lo, comma, hi = body[1:-1].partition(",")
+        if not comma:
+            raise ParseError(f"interval literal needs two bounds: {text!r}")
+        return self.make(self.base.parse(lo.strip()), self.base.parse(hi.strip()))
 
 
 IZMAX = IntervalSemiring(ZMAX)

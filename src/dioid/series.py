@@ -58,11 +58,9 @@ from . import zmax
 from .errors import DivergenceError, ParseError, SeriesDomainError
 from .zmax import EPS, TOP, Extreme, Scalar
 
-# Window guard: operands whose transients would force larger explicit
-# windows than this are rejected instead of silently truncated.
+# Work guard: a sweep whose window, or window times the steps it visits per
+# value, would pass this is refused instead of run or silently truncated.
 _WINDOW_CAP = 1 << 18
-
-_STAR_HORIZON_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -381,11 +379,7 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
         return top_part
     lo = min(m.exp for m in fin)
     rank = max(m.exp for m in fin)
-    if rank + 2 * nu - lo > _WINDOW_CAP:
-        raise DivergenceError(
-            f"pattern with period exponent {nu} spans {rank + 2 * nu - lo} exponents, "
-            f"past the explicit-window cap {_WINDOW_CAP}"
-        )
+    _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
     # Event array: the largest copy landing on each exponent (``floor`` where
     # none does), then a running max; the monomial at lo starts it.
     n = rank + 2 * nu - lo + 1
@@ -436,13 +430,14 @@ def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
 # Semiring operations
 # ---------------------------------------------------------------------------
 
-def _check_window(lo: int, hi: int) -> None:
-    if hi - lo > _WINDOW_CAP:
-        raise DivergenceError("series transients exceed the explicit-window cap")
+def _check_work(what: str, work: int) -> None:
+    """Refuse a sweep whose estimated work passes ``_WINDOW_CAP``."""
+    if work > _WINDOW_CAP:
+        raise DivergenceError(f"{what}: estimated work {work} is past the cap {_WINDOW_CAP}")
 
 
 def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar], list[Scalar]]:
-    _check_window(lo, hi)
+    _check_work("series window", hi - lo)
     return values(a, lo, hi), values(b, lo, hi)
 
 
@@ -503,7 +498,7 @@ def _crossing(a: Series, b: Series, lo: int) -> tuple[int, int, int, int]:
     steep, flat = (a, b) if tau_a > tau_b else (b, a)
     # The caller's window reaches past r0 + 2v: refuse it before allocating.
     # Past both ranks the values are finite.
-    _check_window(lo, r0 + 2 * v)
+    _check_work("series window", r0 + 2 * v - lo)
     d = max(map(sub, values(flat, r0, r0 + v - 1), values(steep, r0, r0 + v - 1)))
     return tau_a, tau_b, v, r0 if d <= 0 else r0 + (d // abs(tau_a - tau_b) + 1) * v
 
@@ -621,13 +616,14 @@ def s_lres(a: Series, b: Series) -> Series:
     hi = rank_x + 2 * v
     k_hi = max(ra, rb - lo) + v
     # b's window is the largest: the output window plus a's terms.
-    _check_window(lo, hi + k_hi - na0)
+    _check_work("series window", hi + k_hi - na0 - lo)
     a_vals = values(a, na0, k_hi)
     b_vals = values(b, lo + na0, hi + k_hi)
     ta = _extent(a_vals)[1]  # a_vals starts at a's first step: never eps
     eb, tb = _extent(b_vals)
     # Offsets of a's steps in a_vals, and their values, while a is finite.
     ks, cs = _steps(a_vals, 0, ta)
+    _check_work("residual sweep (window x steps)", (hi - lo + 1) * len(ks))
 
     # x(j) = min over k in [na0, k_max] of b(j + k) - a(k), with i = j - lo
     # the offset of b(j + na0) in b_vals.  A first term with b eps is eps.
@@ -700,6 +696,7 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
     # short one only doubles.
     horizon = 4 * (w + n_b)
     while True:
+        _check_work("star (horizon x items)", horizon * len(items))
         f = [0] * (horizon + 1)
         for j in range(1, horizon + 1):
             best = f[j - 1]
@@ -716,8 +713,6 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
         if horizon >= rank + n_b + w and horizon >= rank + 2 * n_b:
             return _reconstruct(f, 0, t_b, n_b, rank)
         horizon *= 2
-        if horizon > _STAR_HORIZON_CAP:
-            raise DivergenceError("star: no periodic regime within the horizon cap")
 
 
 def _poly_star(monos: list[Monomial]) -> Series:
@@ -779,6 +774,7 @@ _TERM_RE = re.compile(
     r"(?:\.\((?P<pt>-?\d+)\.g(?P<pn>-?\d+)\)\*)?",
     re.ASCII,
 )
+_NAMED_TERMS = {"eps": S_EPS, "top": S_TOP, "e": S_ONE}
 
 
 def _format_coeff(c: Union[int, Extreme]) -> str:
@@ -799,25 +795,26 @@ def format_series(s: Series) -> str:
 
 
 def parse_series(text: str) -> Series:
-    """Parse the series grammar: monomials ``T.gN`` joined by ``+`` with an
-    optional periodic suffix ``.(T.gN)*`` per monomial; ``eps``, ``top`` and
-    ``e`` are accepted; whitespace around ``+`` is ignored."""
-    body = text.strip()
-    if not body:
-        raise ParseError("empty series literal")
-    out = S_EPS
-    for offset, term in _split_terms(body):
-        if term == "eps":
-            continue
-        if term == "top":
-            out = s_oplus(out, S_TOP)
-            continue
-        if term == "e":
-            out = s_oplus(out, S_ONE)
-            continue
+    """Parse the series grammar: terms ``T.gN`` joined by ``+``, each with an
+    optional periodic suffix ``.(T.gN)*``; ``eps``, ``top`` and ``e`` are
+    terms too, and whitespace around ``+`` is ignored.  No ``+`` may sit
+    inside a period's parentheses, so the terms are the pieces between the
+    ``+`` signs.  Every term is matched before any is computed, so a syntax
+    error anywhere in the literal is a ``ParseError``."""
+    terms = []
+    offset = 0
+    for raw in text.split("+"):
+        term = raw.strip()
         m = _TERM_RE.fullmatch(term)
-        if m is None:
+        if m is None and term not in _NAMED_TERMS:
             raise ParseError(f"invalid series term {term!r} at offset {offset}")
+        terms.append((offset, term, m))
+        offset += len(raw) + 1
+    out = S_EPS
+    for offset, term, m in terms:
+        if m is None:
+            out = s_oplus(out, _NAMED_TERMS[term])
+            continue
         mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))
         if m.group("pt") is None:
             out = s_oplus(out, from_monomials([mono]))
@@ -828,28 +825,6 @@ def parse_series(text: str) -> Series:
             except SeriesDomainError as exc:
                 raise ParseError(f"term {term!r} at offset {offset}: {exc}") from None
     return out
-
-
-def _split_terms(body: str) -> list[tuple[int, str]]:
-    terms: list[tuple[int, str]] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(body + "+"):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced ')' at offset {i}")
-        elif ch == "+" and depth == 0:
-            term = body[start:i].strip()
-            if not term:
-                raise ParseError(f"empty series term at offset {start}")
-            terms.append((start, term))
-            start = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced '(' in series literal")
-    return terms
 
 
 class _GammaSemiring:

@@ -8,7 +8,7 @@ contain whitespace, so the format round-trips token by token.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DioidError, ParseError
 from .intervals import IGAMMA, IZMAX
 from .matrices import Matrix
 from .series import GAMMA
@@ -22,46 +22,40 @@ SEMIRINGS = {
 }
 
 
-def semiring_by_name(name: str):
-    try:
-        return SEMIRINGS[name]
-    except KeyError:
-        raise ParseError(
-            f"unknown element type {name!r}; choose one of {', '.join(SEMIRINGS)}"
-        ) from None
-
-
 def parse_matrix(text: str, semiring) -> Matrix:
-    """Parse the header + rows format, reporting line/entry positions."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the header + rows format.  Blank lines are skipped; an error in
+    a literal, in its grammar or in a domain check such as interval order,
+    is re-raised as the same type naming its line of the text and entry."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty matrix text")
-    header = lines[0].split()
+    n, line = lines[0]
+    header = line.split()
     if len(header) != 2:
-        raise ParseError(f"line 1: expected header 'rows cols', got {lines[0]!r}")
+        raise ParseError(f"line {n}: expected header 'rows cols', got {line!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError(f"line 1: non-integer dimensions in {lines[0]!r}") from None
+        raise ParseError(f"line {n}: non-integer dimensions in {line!r}") from None
     if rows <= 0 or cols <= 0:
-        raise ParseError(f"line 1: dimensions must be positive, got {rows} {cols}")
+        raise ParseError(f"line {n}: dimensions must be positive, got {rows} {cols}")
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}")
     parse = semiring.parse
     entries: list = []
-    for r, line in enumerate(lines[1:], start=2):
+    for n, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != cols:
-            raise ParseError(f"line {r}: expected {cols} entries, found {len(tokens)}")
+            raise ParseError(f"line {n}: expected {cols} entries, found {len(tokens)}")
         try:
             entries += map(parse, tokens)
-        except ParseError:
+        except DioidError:
             # Only a failing row is scanned again, to name the entry.
             for c, tok in enumerate(tokens, start=1):
                 try:
                     parse(tok)
-                except ParseError as exc:
-                    raise ParseError(f"line {r}, entry {c}: {exc}") from None
+                except DioidError as exc:
+                    raise type(exc)(f"line {n}, entry {c}: {exc}") from None
             raise
     return Matrix(semiring, rows, cols, tuple(entries))
 

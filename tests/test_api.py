@@ -17,8 +17,8 @@ PUBLIC = [
     "membership", "mono_dualres", "mono_odot", "negate_transpose", "oracle",
     "parse_matrix", "parse_series", "pattern_series", "project", "projector",
     "projector_by_enumeration", "projector_matrix", "right_residual", "s_leq",
-    "s_lres", "s_oplus", "s_otimes", "s_star", "s_wedge", "semiring_by_name",
-    "series", "sigma_inf", "smallest_supersolution", "star_by_powers", "textio",
+    "s_lres", "s_oplus", "s_otimes", "s_star", "s_wedge", "series",
+    "sigma_inf", "smallest_supersolution", "star_by_powers", "textio",
     "top_matrix", "wedge_closure", "zmax",
 ]
 

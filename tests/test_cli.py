@@ -51,13 +51,19 @@ class TestMaxPlusCommands:
         capsys.readouterr()
         assert (tmp / "r.mat").read_text() == "2 1\ntop\n16\n"
 
-    def test_verify_flag(self, workdir, capsys):
+    def test_verify_lres(self, workdir, capsys):
         _, write = workdir
         c = write("c.mat", "3 2\n1 2\n3 4\n5 6\n")
         b = write("b.mat", "3 1\n8\n9\n10\n")
-        assert main(["lres", c, b, "--verify"]) == 0
-        captured = capsys.readouterr()
-        assert "oracle agrees" in captured.err
+        assert main(["verify", "lres", c, b]) == 0
+        assert capsys.readouterr() == ("verify lres: oracle agrees\n", "")
+
+    def test_operations_take_no_verify_flag(self, workdir, capsys):
+        # Verification is the verify subcommand, not an option of each operation.
+        with pytest.raises(SystemExit) as exc:
+            main(["lres", "--help"])
+        assert exc.value.code == 0
+        assert "--verify" not in capsys.readouterr().out
 
     def test_verify_subcommand(self, workdir, capsys):
         _, write = workdir
@@ -76,6 +82,8 @@ class TestMaxPlusCommands:
         _, write = workdir
         a = write("a.mat", "1 1\n1.g1\n")
         assert main(["verify", "star", a, "--type", "series"]) == 1
+        assert capsys.readouterr().err == (
+            "dioid: error: verification is available for --type maxplus only\n")
 
 
 class TestProjectCommand:
@@ -191,6 +199,33 @@ class TestExitCodes:
     def test_missing_file_is_1(self, workdir, capsys):
         assert main(["star", "/nonexistent/x.mat"]) == 1
 
+    @pytest.mark.parametrize("argv,negate", [(["prod"], False), (["lres"], True)],
+                             ids=["prod", "lres"])
+    def test_result_past_digit_limit_is_1(self, workdir, capsys, argv, negate):
+        # 4300 digits parse; their sum has 4301, past the interpreter's limit
+        # for printing an int.
+        _, write = workdir
+        nines = "9" * 4300
+        a = write("a.mat", f"1 1\n{'-' if negate else ''}{nines}\n")
+        b = write("b.mat", f"1 1\n{nines}\n")
+        assert main(argv + [a, b]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("dioid: error: cannot print the result: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,literal,message", [
+        ("interval-maxplus", "[5,1]", "interval bounds are not ordered: [5,1]"),
+        ("interval-series", "[1.g0.(1.g100000000)*,top]", "period exponent 100000000"),
+    ], ids=["interval-order", "window-cap"])
+    def test_domain_check_names_file_and_position(self, workdir, capsys, kind, literal,
+                                                  message):
+        _, write = workdir
+        m = write("m.mat", f"1 1\n{literal}\n")
+        assert main(["star", m, "--type", kind]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"dioid: error: {m}: line 2, entry 1: ")
+        assert message in err and err.count("\n") == 1
+
 
 class TestInProcessSequence:
     def test_calls_share_no_state(self, workdir, capsys):
@@ -200,12 +235,12 @@ class TestInProcessSequence:
         c = write("c.mat", "3 2\n1 2\n3 4\n5 6\n")
         b = write("b.mat", "3 1\n8\n9\n10\n")
         out = tmp / "out.mat"
-        assert main(["lres", c, b, "--verify", "-o", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "5\n4\n"
-        assert captured.err == "verify lres: oracle agrees\n"
+        assert main(["lres", c, b, "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("5\n4\n", "")
         assert out.read_text() == "2 1\n5\n4\n"
         out.write_text("kept\n")
+        assert main(["verify", "lres", c, b]) == 0
+        assert capsys.readouterr() == ("verify lres: oracle agrees\n", "")
         assert main(["lres", c, b]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("5\n4\n", "")

@@ -36,7 +36,7 @@ from dioid import (
     sigma_inf,
 )
 from dioid import zmax
-from dioid.errors import ParseError, SeriesDomainError
+from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.series import Series, format_series, is_monomial, value_at, values
 
 from conftest import (
@@ -576,6 +576,28 @@ class TestResidualFallback:
         # a's period
         start = time.perf_counter()
         assert s_lres(g("0.g0.(1.g4097)*"), g("top.g2")) == g("top.g2")
+        assert time.perf_counter() - start < 1.0
+
+
+class TestWorkBound:
+    """Sweeps whose windows fit the cap but whose work does not are refused
+    before they run."""
+
+    def test_residual_window_times_steps(self):
+        # window about 8,000 values, each a minimum over about 4,000 steps of a
+        a, b = g("0.g0.(1.g1)*"), g("0.g0.(4000.g4000)*")
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError,
+                           match=r"residual sweep .*: estimated work \d+ is past the cap"):
+            s_lres(a, b)
+        assert time.perf_counter() - start < 1.0
+
+    def test_star_horizon_times_items(self):
+        # 400 items over a horizon of about 160,000 exponents
+        s = from_monomials(Monomial(i, 100 * i + 1) for i in range(1, 401))
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match="star"):
+            s_star(s)
         assert time.perf_counter() - start < 1.0
 
 

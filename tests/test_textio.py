@@ -6,22 +6,24 @@ import random
 
 import pytest
 
-from dioid import GAMMA, IGAMMA, IZMAX, ZMAX, format_matrix, parse_matrix, semiring_by_name
-from dioid.errors import ParseError
+from dioid import GAMMA, IGAMMA, IZMAX, SEMIRINGS, ZMAX, format_matrix, parse_matrix
+from dioid.cli import main
+from dioid.errors import DivergenceError, IntervalOrderError, ParseError
 
 from conftest import rand_matrix
 
 
 class TestRegistry:
     def test_names(self):
-        assert semiring_by_name("maxplus") is ZMAX
-        assert semiring_by_name("series") is GAMMA
-        assert semiring_by_name("interval-maxplus") is IZMAX
-        assert semiring_by_name("interval-series") is IGAMMA
+        assert SEMIRINGS == {"maxplus": ZMAX, "series": GAMMA,
+                             "interval-maxplus": IZMAX, "interval-series": IGAMMA}
 
-    def test_unknown(self):
-        with pytest.raises(ParseError):
-            semiring_by_name("minplus")
+    def test_unknown(self, capsys):
+        # The CLI takes its --type choices from the registry.
+        with pytest.raises(SystemExit) as exc:
+            main(["star", "a.mat", "--type", "minplus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'minplus'" in capsys.readouterr().err
 
 
 class TestRoundTrip:
@@ -58,13 +60,25 @@ class TestErrors:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n1 2 3\n", ZMAX)
 
-    @pytest.mark.parametrize("semiring,text", [
-        (ZMAX, "2 3\n1 2 3\n4 frog 6\n"),
-        (GAMMA, "2 3\n1.g0 e eps\n2.g1 4.g1.(x)* top\n"),
-        (IZMAX, "2 3\n[1,2] 3 eps\n[0,4] [5,frog] [top,top]\n"),
-    ], ids=["maxplus", "series", "interval-maxplus"])
-    def test_bad_literal_position(self, semiring, text):
-        with pytest.raises(ParseError, match="line 3, entry 2"):
+    @pytest.mark.parametrize("semiring,text,line", [
+        (ZMAX, "2 3\n1 2 3\n4 frog 6\n", 3),
+        (GAMMA, "2 3\n1.g0 e eps\n2.g1 4.g1.(x)* top\n", 3),
+        (IZMAX, "2 3\n[1,2] 3 eps\n[0,4] [5,frog] [top,top]\n", 3),
+        (ZMAX, "2 2\n\n1 2\n3 frog\n", 4),
+    ], ids=["maxplus", "series", "interval-maxplus", "blank-line"])
+    def test_bad_literal_position(self, semiring, text, line):
+        # Lines are numbered as in the text, blank ones included.
+        with pytest.raises(ParseError, match=f"line {line}, entry 2"):
+            parse_matrix(text, semiring)
+
+    @pytest.mark.parametrize("semiring,text,error", [
+        (IZMAX, "1 2\n0 [5,1]\n", IntervalOrderError),
+        (IGAMMA, "1 2\n0.g0 [1.g0.(1.g100000000)*,top]\n", DivergenceError),
+    ], ids=["interval-order", "window-cap"])
+    def test_domain_check_position(self, semiring, text, error):
+        # A literal that parses but fails a domain check keeps its error
+        # type and names its position.
+        with pytest.raises(error, match="^line 2, entry 2: "):
             parse_matrix(text, semiring)
 
     def test_empty(self):
