@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one work cap."""
+
+# Work guard: a series sweep or an oracle scan whose estimated work would pass
+# this is refused instead of run or silently truncated.
+_WINDOW_CAP = 1 << 18
 
 
 class DioidError(Exception):
@@ -15,6 +19,12 @@ class SeriesDomainError(DioidError):
 
 class DivergenceError(DioidError):
     """An iterative computation exceeded its cap without stabilizing."""
+
+
+def _check_work(what: str, work: int) -> None:
+    """Refuse a computation whose estimated work passes ``_WINDOW_CAP``."""
+    if work > _WINDOW_CAP:
+        raise DivergenceError(f"{what}: estimated work {work} is past the cap {_WINDOW_CAP}")
 
 
 class HypothesisError(DioidError):

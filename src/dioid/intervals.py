@@ -90,17 +90,11 @@ class IntervalSemiring:
         down = b.dualres(a.lo, x.lo)
         return Interval(down, b.oplus(down, b.dualres(a.hi, x.hi)))
 
-    # -- projector hypothesis and conjugation -------------------------
+    # -- projector hypothesis ----------------------------------------
 
     def odot_left_ok(self, x: Interval) -> bool:
         b = self.base
         return b.odot_left_ok(x.lo) and b.odot_left_ok(x.hi)
-
-    def conj(self, x: Interval) -> Interval:
-        base_conj = getattr(self.base, "conj", None)
-        if base_conj is None:
-            raise TypeError(f"no conjugation over {self.base!r}")
-        return Interval(base_conj(x.hi), base_conj(x.lo))
 
     # -- text form -------------------------------------------------------
 

@@ -24,12 +24,13 @@ transpose conj(A)^T (a_ij -> -a_ji, eps <-> top):
 
     A \\ B = conj(A)^T (.) B      C / A = C (.) conj(A)^T      A %% X = conj(A)^T (x) X
 
-so the five operations share one integer kernel, ``_zmax_product``.  With m
-the largest finite magnitude in either operand and K = 3m + 1, it encodes
-top as K and eps as -3K for (x), top as 3K and eps as -K for (.).  Every
-sum of two codes then lands in one of three disjoint ranges: above 2m where
-the exact result is top, below -2m where it is eps, and the exact finite
-value in between, so one integer max (or min) per entry is exact for
+so the five operations share one integer kernel, ``_zmax_product``.  One
+encoder, ``_encode``, codes its operands and the closure's matrix below,
+conjugated or not.  With m the largest finite magnitude in either operand
+and K = 3m + 1, top is K and eps -3K for (x), top 3K and eps -K for (.).
+Every sum of two codes then lands in one of three disjoint ranges: above 2m
+where the exact result is top, below -2m where it is eps, and the exact
+finite value in between, so one integer max (or min) per entry is exact for
 integers of any size.  Series matrices use one generic fold, which stops
 once its accumulator is absorbing (top for (+), eps for (^)).
 
@@ -40,15 +41,17 @@ corrections, which commute with the fold over the inner index and so apply
 once to the result: the left and right residuals meet the lower bound with
 the upper one, and the dual residual joins the upper bound with the lower.
 
-Both closures are one Gauss-Jordan elimination, exact in O(n^3) scalar
-operations; the meet closure runs it over the order dual of the semiring.
-Over max-plus scalars both run one integer elimination, ``_zmax_closure``;
-the order dual of max-plus is max-plus again through the conjugation
-(v -> -v, eps <-> top), so the meet closure is the conjugate of the star of
-conj(B).  With m the largest finite magnitude and bound = n*m, every finite
-entry met during elimination is the weight of a best elementary path or
-circuit, so it lies within +-bound.  Top is coded as T = (n+1)*bound + 1 and
-eps as -T.  At pivot k:
+Both closures have one entry point, ``_closure(a, dual)``: interval
+matrices are closed bound by bound, and every other type runs one
+Gauss-Jordan elimination, exact in O(n^3) scalar operations; the meet
+closure runs it over the order dual of the semiring.  Over max-plus scalars
+both run one integer elimination, ``_zmax_closure``; the order dual of
+max-plus is max-plus again through the conjugation (v -> -v, eps <-> top),
+so the meet closure is the conjugate of the star of conj(B).  With m the
+largest finite magnitude and bound = n*m, every finite entry met during
+elimination is the weight of a best elementary path or circuit, so it lies
+within +-bound.  Top is coded as T = (n+1)*bound + 1 and eps as -T.  At
+pivot k:
 
 * a row whose entry in column k is below -bound (eps) is skipped;
 * when the diagonal entry is > 0 (a positive circuit, saturated when it is
@@ -59,8 +62,9 @@ eps as -T.  At pivot k:
 
 Codes drift by at most bound per pivot, so after n pivots an eps code stays
 below -bound and a top code above bound.  At the end the diagonal is raised
-to 0 and codes above bound read as top, below -bound as eps.  A row that is
-top in every column never changes again and is shared and skipped.
+to 0, the meet closure's codes are negated back, and codes above bound read
+as top, below -bound as eps.  A row that is top in every column never
+changes again and is shared and skipped.
 
 Shape mismatches raise; there is no broadcasting.
 """
@@ -73,6 +77,7 @@ from itertools import chain
 from operator import add, neg
 from typing import Any, Sequence
 
+from . import zmax
 from .errors import DivergenceWarning, SeriesDomainError, ShapeError
 from .zmax import EPS, TOP, ZMAX
 
@@ -88,10 +93,10 @@ class Matrix:
 
     def __init__(self, semiring, rows: int, cols: int, entries: tuple) -> None:
         if rows <= 0 or cols <= 0:
-            raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+            raise ShapeError(f"Matrix: dimensions must be positive, got {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ShapeError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
+                f"Matrix: expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
             )
         # Stored through the slot descriptors, past the frozen __setattr__:
         # cheaper than object.__setattr__ per field, and slots make every
@@ -126,10 +131,10 @@ _set_entries = Matrix.entries.__set__
 
 def from_rows(semiring, rows: Sequence[Sequence]) -> Matrix:
     if not rows or not rows[0]:
-        raise ShapeError("a matrix needs at least one row and one column")
+        raise ShapeError("from_rows: a matrix needs at least one row and one column")
     cols = len(rows[0])
     if any(len(r) != cols for r in rows):
-        raise ShapeError("all rows must have the same length")
+        raise ShapeError("from_rows: all rows must have the same length")
     return Matrix(semiring, len(rows), cols, tuple(x for r in rows for x in r))
 
 
@@ -193,6 +198,25 @@ def mat_leq(a: Matrix, b: Matrix) -> bool:
     return all(map(leq, a.entries, b.entries))
 
 
+def _encode(entries, top: int, eps: int, conj: bool) -> list:
+    """Integer codes of max-plus entries: top -> ``top``, eps -> ``eps`` and
+    v -> v, or with ``conj`` those of the conjugate: top -> ``eps``,
+    eps -> ``top`` and v -> -v."""
+    if conj:
+        return [eps if v is TOP else top if v is EPS else -v for v in entries]
+    return [top if v is TOP else eps if v is EPS else v for v in entries]
+
+
+def _rows(entries, c: int) -> list:
+    """The rows of ``c``-column row-major ``entries``."""
+    return list(zip(*[iter(entries)] * c))
+
+
+def _cols(entries, c: int) -> list:
+    """The columns of ``c``-column row-major ``entries``."""
+    return [entries[j::c] for j in range(c)]
+
+
 def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
                   conj_x: bool = False) -> Matrix:
     """L (x) R, or L (.) R when ``dual``, of max-plus matrices, where L is A
@@ -201,54 +225,23 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     Each output entry is one integer max (or min) of sums of codes; see the
     module docstring for the encoding.  The caller checks the shapes.
     """
-    ea, ex = a.entries, x.entries
-    if EPS in ea or TOP in ea or EPS in ex or TOP in ex:
-        fin = [v for v in chain(ea, ex) if v is not EPS and v is not TOP]
-        m = max(map(abs, fin)) if fin else 0
-        k = 3 * m + 1
-        hi, lo = (3 * k, -k) if dual else (k, -3 * k)
-        # A conjugated operand maps v to -v, eps to top's code, top to eps's.
-        ea = ([lo if v is TOP else hi if v is EPS else -v for v in ea] if conj_a
-              else [hi if v is TOP else lo if v is EPS else v for v in ea])
-        ex = ([lo if v is TOP else hi if v is EPS else -v for v in ex] if conj_x
-              else [hi if v is TOP else lo if v is EPS else v for v in ex])
-        bound = 2 * m
-    else:
-        bound = None
-        if conj_a:
-            ea = tuple(map(neg, ea))
-        if conj_x:
-            ex = tuple(map(neg, ex))
-    # Rows of L and columns of R; zip over one shared iterator cuts rows.
-    c = a.cols
-    if conj_a:
-        left = [ea[j::c] for j in range(c)] if c > 1 else [ea]
-    else:
-        left = zip(*[iter(ea)] * c)
-    c = x.cols
-    if conj_x:
-        right = list(zip(*[iter(ex)] * c))
-    else:
-        right = [ex[j::c] for j in range(c)] if c > 1 else [ex]
+    fin = [v for v in chain(a.entries, x.entries) if v is not EPS and v is not TOP]
+    m = max(map(abs, fin)) if fin else 0
+    k = 3 * m + 1
+    hi, lo = (3 * k, -k) if dual else (k, -3 * k)
+    ea = _encode(a.entries, hi, lo, conj_a)
+    ex = _encode(x.entries, hi, lo, conj_x)
+    # Rows of L and columns of R.
+    left = _cols(ea, a.cols) if conj_a else _rows(ea, a.cols)
+    right = _rows(ex, x.cols) if conj_x else _cols(ex, x.cols)
     red = min if dual else max
-    if bound is None:
-        out = [red(map(add, u, w)) for u in left for w in right]
-    else:
-        out = [
-            TOP if (v := red(map(add, u, w))) > bound else EPS if v < -bound else v
-            for u in left
-            for w in right
-        ]
-    return Matrix(ZMAX, a.cols if conj_a else a.rows, len(right), tuple(out))
-
-
-def _rows(a: Matrix) -> list[tuple]:
-    return list(zip(*[iter(a.entries)] * a.cols))
-
-
-def _cols(a: Matrix) -> list[tuple]:
-    c = a.cols
-    return [a.entries[j::c] for j in range(c)]
+    bound, low = 2 * m, -2 * m
+    out = [
+        TOP if (v := red(map(add, u, w))) > bound else EPS if v < low else v
+        for u in left
+        for w in right
+    ]
+    return Matrix(ZMAX, len(left), len(right), tuple(out))
 
 
 def _fold(sr, left, right, term, dual: bool) -> Matrix:
@@ -282,7 +275,7 @@ def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
         return _zmax_product(a, x, False)
     if sr.kind == "interval":
         return _by_bounds(mat_otimes, a, x)
-    return _fold(sr, _rows(a), _cols(x), sr.otimes, False)
+    return _fold(sr, _rows(a.entries, a.cols), _cols(x.entries, x.cols), sr.otimes, False)
 
 
 def mat_odot(a: Matrix, x: Matrix) -> Matrix:
@@ -296,7 +289,7 @@ def mat_odot(a: Matrix, x: Matrix) -> Matrix:
         return _zmax_product(a, x, True)
     if sr.kind == "interval":
         return _by_bounds(mat_odot, a, x)
-    return _fold(sr, _rows(a), _cols(x), sr.odot, True)
+    return _fold(sr, _rows(a.entries, a.cols), _cols(x.entries, x.cols), sr.odot, True)
 
 
 def left_residual(a: Matrix, b: Matrix) -> Matrix:
@@ -310,7 +303,7 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
         return _zmax_product(a, b, True, conj_a=True)
     if sr.kind == "interval":
         return _by_bounds(left_residual, a, b, meet_lower=True)
-    return _fold(sr, _cols(a), _cols(b), sr.lres, True)
+    return _fold(sr, _cols(a.entries, a.cols), _cols(b.entries, b.cols), sr.lres, True)
 
 
 def right_residual(c: Matrix, a: Matrix) -> Matrix:
@@ -325,7 +318,8 @@ def right_residual(c: Matrix, a: Matrix) -> Matrix:
     if sr.kind == "interval":
         return _by_bounds(right_residual, c, a, meet_lower=True)
     lres = sr.lres
-    return _fold(sr, _rows(c), _rows(a), lambda c_ik, a_jk: lres(a_jk, c_ik), True)
+    return _fold(sr, _rows(c.entries, c.cols), _rows(a.entries, a.cols),
+                 lambda c_ik, a_jk: lres(a_jk, c_ik), True)
 
 
 def dual_residual(a: Matrix, x: Matrix) -> Matrix:
@@ -339,7 +333,7 @@ def dual_residual(a: Matrix, x: Matrix) -> Matrix:
         return _zmax_product(a, x, False, conj_a=True)
     if sr.kind == "interval":
         return _by_bounds(dual_residual, a, x, join_upper=True)
-    return _fold(sr, _cols(a), _cols(x), sr.dualres, False)
+    return _fold(sr, _cols(a.entries, a.cols), _cols(x.entries, x.cols), sr.dualres, False)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -377,31 +371,22 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(a.semiring, n, n, tuple(chain.from_iterable(m))), saturated
 
 
-def _zmax_closure(a: Matrix, conj: bool) -> tuple[Matrix, list[int]]:
-    """``_gauss_jordan(ZMAX, a)`` on integer codes, or with ``conj`` the same
+def _zmax_closure(a: Matrix, dual: bool) -> tuple[Matrix, list[int]]:
+    """``_gauss_jordan(ZMAX, a)`` on integer codes, or with ``dual`` the same
     over the order dual, read as the star of conj(A) and conjugated back.
 
     Returns the same closure and saturated pivots; see the module docstring
     for the encoding.
     """
     n = a.rows
-    e = a.entries
-    if EPS in e or TOP in e:
-        fin = [v for v in e if v is not EPS and v is not TOP]
-        bound = n * max(map(abs, fin)) if fin else 0
-        t = (n + 1) * bound + 1
-        e = ([-t if v is TOP else t if v is EPS else -v for v in e] if conj
-             else [t if v is TOP else -t if v is EPS else v for v in e])
-    else:
-        bound = n * max(map(abs, e))
-        t = (n + 1) * bound + 1
-        if conj:
-            e = tuple(map(neg, e))
+    fin = [v for v in a.entries if v is not EPS and v is not TOP]
+    bound = n * max(map(abs, fin)) if fin else 0
+    t = (n + 1) * bound + 1
     low = -bound
     # Rows are never written in place, only replaced, so they may be tuples
     # and every all-top row may be one shared tuple; such a row never changes
     # again and is skipped.
-    m = list(zip(*[iter(e)] * n))
+    m = _rows(_encode(a.entries, t, -t, dual), n)
     all_top = (t,) * n
     saturated = []
     for k in range(n):
@@ -425,11 +410,12 @@ def _zmax_closure(a: Matrix, conj: bool) -> tuple[Matrix, list[int]]:
     for i in range(0, n * n, n + 1):
         if flat[i] < 0:
             flat[i] = 0
-    if conj:
-        out = [EPS if c > bound else TOP if c < low else -c for c in flat]
-    else:
-        out = [TOP if c > bound else EPS if c < low else c for c in flat]
-    return Matrix(ZMAX, n, n, tuple(out)), saturated
+    # The meet closure's codes are those of the star of conj(A): negated,
+    # they decode as the plain ones do.
+    if dual:
+        flat = map(neg, flat)
+    out = tuple(TOP if c > bound else EPS if c < low else c for c in flat)
+    return Matrix(ZMAX, n, n, out), saturated
 
 
 class _OrderDual:
@@ -448,20 +434,38 @@ class _OrderDual:
         self.star = lambda p: one if leq(one, p) else eps
 
 
+def _closure(a: Matrix, dual: bool) -> tuple[Matrix, list[int]]:
+    """The star of a square matrix, or with ``dual`` its meet closure, and
+    the 0-based pivots where it saturated.
+
+    Interval matrices are closed bound by bound, which is exact because the
+    lattice operations, the products and the scalar stars all act boundwise.
+    """
+    sr = a.semiring
+    if sr.kind == "interval":
+        (lo, s_lo), (hi, s_hi) = (_closure(m, dual) for m in interval_bounds(a))
+        return interval_join(sr, lo, hi), sorted({*s_lo, *s_hi})
+    if sr is ZMAX:
+        return _zmax_closure(a, dual)
+    if not dual:
+        return _gauss_jordan(sr, a)
+    for idx, entry in enumerate(a.entries):
+        if not sr.odot_left_ok(entry):
+            raise SeriesDomainError(
+                f"wedge_closure: entry ({idx // a.cols + 1},{idx % a.cols + 1}) "
+                "is not eps, top or a monomial with a finite coefficient"
+            )
+    return _gauss_jordan(_OrderDual(sr), a)
+
+
 def kleene_star(a: Matrix) -> Matrix:
     """A* = E (+) A (+) A^2 (+) ...
 
     Over max-plus scalars a circuit of positive weight saturates the entries
-    it reaches to top.  Interval matrices are closed bound by bound, which is
-    exact because (+), (x) and the scalar star all act boundwise.
+    it reaches to top.
     """
     _require_square(a, "kleene_star")
-    sr = a.semiring
-    if sr is ZMAX:
-        return _zmax_closure(a, False)[0]
-    if sr.kind == "interval":
-        return _by_bounds(kleene_star, a)
-    return _gauss_jordan(sr, a)[0]
+    return _closure(a, False)[0]
 
 
 def wedge_closure(b: Matrix) -> Matrix:
@@ -469,11 +473,10 @@ def wedge_closure(b: Matrix) -> Matrix:
 
     A strictly decreasing dual circuit drives the entries it reaches to eps;
     when one is found a ``DivergenceWarning`` names its pivots, those of
-    either bound for an interval matrix.  Interval matrices are closed bound
-    by bound.
+    either bound for an interval matrix.
     """
     _require_square(b, "wedge_closure")
-    out, saturated = _wedge_closure(b)
+    out, saturated = _closure(b, True)
     if saturated:
         pivots = ", ".join(str(k + 1) for k in saturated)
         warnings.warn(
@@ -483,23 +486,6 @@ def wedge_closure(b: Matrix) -> Matrix:
             stacklevel=2,
         )
     return out
-
-
-def _wedge_closure(b: Matrix) -> tuple[Matrix, list[int]]:
-    """The meet closure of a square matrix and its 0-based saturated pivots."""
-    sr = b.semiring
-    if sr.kind == "interval":
-        (lo, s_lo), (hi, s_hi) = map(_wedge_closure, interval_bounds(b))
-        return interval_join(sr, lo, hi), sorted({*s_lo, *s_hi})
-    if sr is ZMAX:
-        return _zmax_closure(b, True)
-    for idx, entry in enumerate(b.entries):
-        if not sr.odot_left_ok(entry):
-            raise SeriesDomainError(
-                f"wedge_closure: entry ({idx // b.cols + 1},{idx % b.cols + 1}) "
-                "is not eps, top or a monomial with a finite coefficient"
-            )
-    return _gauss_jordan(_OrderDual(sr), b)
 
 
 def interval_bounds(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -538,17 +524,12 @@ def _by_bounds(kernel, *mats: Matrix, meet_lower: bool = False,
 
 
 def negate_transpose(a: Matrix) -> Matrix:
-    """Conjugate-transpose a_ij -> -a_ji with eps and top exchanged.
-
-    Defined for element types with a conjugation (max-plus scalars and
-    their interval lift); it turns left residuation into a dual product.
-    """
-    sr = a.semiring
-    conj = getattr(sr, "conj", None)
-    if conj is None:
-        raise ShapeError(f"negate_transpose: no conjugation over {sr!r}")
-    out = tuple(conj(a.at(j, i)) for i in range(a.cols) for j in range(a.rows))
-    return Matrix(sr, a.cols, a.rows, out)
+    """Conjugate-transpose a_ij -> -a_ji with eps and top exchanged, for
+    max-plus matrices; it turns left residuation into a dual product."""
+    if a.semiring is not ZMAX:
+        raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
+    out = map(zmax.conj, chain.from_iterable(_cols(a.entries, a.cols)))
+    return Matrix(ZMAX, a.cols, a.rows, tuple(out))
 
 
 def dual_power(b: Matrix, k: int) -> Matrix:

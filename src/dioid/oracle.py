@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import zmax
-from .errors import HypothesisError, ShapeError
+from .errors import HypothesisError, ShapeError, _check_work
 from .matrices import (
     Matrix,
     dual_residual,
@@ -47,6 +47,10 @@ class Grid:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"grid bounds out of order: [{self.lo}, {self.hi}]")
+
+    def size(self) -> int:
+        """The number of grid elements, eps and top included."""
+        return self.hi - self.lo + 3
 
     def values(self) -> tuple[Scalar, ...]:
         return (EPS, *range(self.lo, self.hi + 1), TOP)
@@ -84,6 +88,7 @@ def greatest_subsolution(a: Matrix, b: Matrix, grid: Grid) -> Matrix:
     _require_zmax(b, "greatest_subsolution")
     if a.rows != b.rows:
         raise ShapeError("greatest_subsolution: row counts differ")
+    _check_work("greatest_subsolution", grid.size() * a.cols * b.cols * a.rows)
     candidates = tuple(reversed(grid.values()))
     out = []
     for k in range(a.cols):
@@ -105,6 +110,7 @@ def smallest_supersolution(a: Matrix, b: Matrix, grid: Grid) -> Matrix:
     _require_zmax(b, "smallest_supersolution")
     if a.rows != b.rows:
         raise ShapeError("smallest_supersolution: row counts differ")
+    _check_work("smallest_supersolution", grid.size() * a.cols * b.cols * a.rows)
     candidates = grid.values()
     out = []
     for k in range(a.cols):
@@ -179,6 +185,7 @@ def projector_by_enumeration(a: Matrix, b: Matrix, x0: Matrix, grid: Grid) -> Ma
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or x0.rows != a.rows:
         raise ShapeError("projector_by_enumeration: inconsistent shapes")
     n = a.rows
+    _check_work("projector_by_enumeration", x0.cols * grid.size() ** n * n * n)
     arows = a.to_rows()
     brows = b.to_rows()
     cols = []

@@ -55,12 +55,8 @@ from operator import sub
 from typing import Iterable, Optional, Union
 
 from . import zmax
-from .errors import DivergenceError, ParseError, SeriesDomainError
+from .errors import ParseError, SeriesDomainError, _check_work
 from .zmax import EPS, TOP, Extreme, Scalar
-
-# Work guard: a sweep whose window, or window times the steps it visits per
-# value, would pass this is refused instead of run or silently truncated.
-_WINDOW_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -430,12 +426,6 @@ def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
 # Semiring operations
 # ---------------------------------------------------------------------------
 
-def _check_work(what: str, work: int) -> None:
-    """Refuse a sweep whose estimated work passes ``_WINDOW_CAP``."""
-    if work > _WINDOW_CAP:
-        raise DivergenceError(f"{what}: estimated work {work} is past the cap {_WINDOW_CAP}")
-
-
 def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar], list[Scalar]]:
     _check_work("series window", hi - lo)
     return values(a, lo, hi), values(b, lo, hi)
@@ -800,7 +790,9 @@ def parse_series(text: str) -> Series:
     terms too, and whitespace around ``+`` is ignored.  No ``+`` may sit
     inside a period's parentheses, so the terms are the pieces between the
     ``+`` signs.  Every term is matched before any is computed, so a syntax
-    error anywhere in the literal is a ``ParseError``."""
+    error anywhere in the literal is a ``ParseError``.  The plain terms
+    (``T.gN``) before the first periodic term are summed by one
+    ``from_monomials`` call; every later term is joined in turn."""
     terms = []
     offset = 0
     for raw in text.split("+"):
@@ -811,20 +803,26 @@ def parse_series(text: str) -> Series:
         terms.append((offset, term, m))
         offset += len(raw) + 1
     out = S_EPS
+    monos: Optional[list[Monomial]] = []  # None once a periodic term is joined
     for offset, term, m in terms:
         if m is None:
             out = s_oplus(out, _NAMED_TERMS[term])
             continue
         mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))
         if m.group("pt") is None:
-            out = s_oplus(out, from_monomials([mono]))
-        else:
-            period = Monomial(zmax.parse_int(m.group("pt")), zmax.parse_int(m.group("pn")))
-            try:
-                out = s_oplus(out, pattern_series([mono], period))
-            except SeriesDomainError as exc:
-                raise ParseError(f"term {term!r} at offset {offset}: {exc}") from None
-    return out
+            if monos is None:
+                out = s_oplus(out, from_monomials([mono]))
+            else:
+                monos.append(mono)
+            continue
+        period = Monomial(zmax.parse_int(m.group("pt")), zmax.parse_int(m.group("pn")))
+        if monos is not None:
+            out, monos = s_oplus(out, from_monomials(monos)), None
+        try:
+            out = s_oplus(out, pattern_series([mono], period))
+        except SeriesDomainError as exc:
+            raise ParseError(f"term {term!r} at offset {offset}: {exc}") from None
+    return out if monos is None else s_oplus(out, from_monomials(monos))
 
 
 class _GammaSemiring:

@@ -192,7 +192,6 @@ class _ZMaxSemiring:
     dualres = staticmethod(dualres)
     star = staticmethod(star)
     leq = staticmethod(leq)
-    conj = staticmethod(conj)
     parse = staticmethod(parse_scalar)
     format = staticmethod(format_scalar)
 

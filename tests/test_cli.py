@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import time
+import warnings
 
 import pytest
 
 from dioid.cli import main
+from dioid.errors import DivergenceWarning
 
 
 @pytest.fixture
@@ -77,6 +79,26 @@ class TestMaxPlusCommands:
         a = write("a.mat", "2 2\neps -5\n-5 1\n")
         assert main(["verify", "star", a]) == 0
         assert capsys.readouterr().out == "verify star: oracle agrees\n"
+
+    def test_dualstar_warning_is_one_line(self, workdir, capsys):
+        # Both diagonal entries are decreasing dual circuits: the meet closure
+        # warns and still succeeds.
+        _, write = workdir
+        b = write("b.mat", "2 2\n-1 top\ntop -1\n")
+        assert main(["dualstar", b]) == 0
+        out, err = capsys.readouterr()
+        assert out == "eps top\ntop eps\n"
+        assert err.startswith("dioid: warning: wedge_closure: ") and err.count("\n") == 1
+        assert "pivot(s) 1, 2;" in err
+
+    def test_warning_filters_still_apply(self, workdir, capsys):
+        # An ignore filter (as -W or PYTHONWARNINGS sets) silences the line.
+        _, write = workdir
+        b = write("b.mat", "2 2\n-1 top\ntop -1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            assert main(["dualstar", b]) == 0
+        assert capsys.readouterr() == ("eps top\ntop eps\n", "")
 
     def test_verify_rejects_series(self, workdir, capsys):
         _, write = workdir
@@ -182,6 +204,36 @@ class TestExitCodes:
         assert main(["verify", "lres", m, m, "--grid-lo", "5", "--grid-hi", "1"]) == 1
         err = capsys.readouterr().err
         assert err == "dioid: error: grid bounds out of order: [5, 1]\n"
+
+    @pytest.mark.parametrize("op,grid,oracle", [
+        ("project", "3000", "projector_by_enumeration"),
+        ("lres", "3000000", "greatest_subsolution"),
+    ], ids=["project", "lres"])
+    def test_verify_past_the_work_cap_is_1(self, workdir, capsys, op, grid, oracle):
+        # The oracles' scans grow with the grid; a wide one is refused before
+        # it runs.
+        _, write = workdir
+        m = write("m.mat", "2 2\n1 2\n3 4\n")
+        inputs = [m, m, write("x.mat", "2 1\n1\n2\n")] if op == "project" else [m, m]
+        start = time.perf_counter()
+        assert main(["verify", op, *inputs, "--grid-lo", f"-{grid}", "--grid-hi", grid]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"dioid: error: {oracle}: estimated work ")
+        assert err.count("\n") == 1
+
+    def test_verify_project_size_is_bounded_by_work(self, workdir, capsys):
+        # n = 2 enumerates every column; n = 3 passes the cap on the default grid.
+        _, write = workdir
+        a2 = write("a2.mat", "2 2\neps 1\n-2 eps\n")
+        b2 = write("b2.mat", "2 2\ntop 3\n2 top\n")
+        x2 = write("x2.mat", "2 2\n1 2\n3 eps\n")
+        assert main(["verify", "project", a2, b2, x2]) == 0
+        assert capsys.readouterr().out == "verify project: oracle agrees\n"
+        a3 = write("a3.mat", "3 3\n" + "eps eps eps\n" * 3)
+        x3 = write("x3.mat", "3 1\n0\n0\n0\n")
+        assert main(["verify", "project", a3, a3, x3]) == 1
+        assert "projector_by_enumeration: estimated work" in capsys.readouterr().err
 
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir

@@ -46,7 +46,8 @@ from dioid import (
 )
 from dioid import zmax
 from dioid.errors import SeriesDomainError, ShapeError
-from dioid.matrices import _OrderDual, _gauss_jordan, _zmax_closure
+from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_bounds,
+                            interval_join)
 from dioid.series import parse_series
 
 from conftest import rand_matrix, rand_scalar, rand_series
@@ -133,6 +134,39 @@ class TestElementwise:
             right_residual(a, from_rows(ZMAX, [[1, 2]]))
         with pytest.raises(ShapeError):
             kleene_star(a)
+
+
+Z22 = from_rows(ZMAX, [[1, 2], [3, 4]])
+Z23 = from_rows(ZMAX, [[1, 2, 3], [4, 5, 6]])
+G22 = eps_matrix(GAMMA, 2, 2)
+I22 = eps_matrix(IZMAX, 2, 2)
+MIXED = "operands live over different semirings"
+
+
+@pytest.mark.parametrize("call,kernel,message", [
+    (lambda: mat_otimes(Z22, G22), "mat_otimes", MIXED),
+    (lambda: mat_odot(Z22, G22), "mat_odot", MIXED),
+    (lambda: left_residual(Z22, G22), "left_residual", MIXED),
+    (lambda: right_residual(Z22, G22), "right_residual", MIXED),
+    (lambda: dual_residual(Z22, G22), "dual_residual", MIXED),
+    (lambda: mat_oplus(Z22, G22), "mat_oplus", MIXED),
+    (lambda: mat_odot(Z23, Z23), "mat_odot", "inner dimensions 3 and 2 differ"),
+    (lambda: Matrix(ZMAX, 0, 1, ()), "Matrix", "dimensions must be positive, got 0x1"),
+    (lambda: Matrix(ZMAX, 2, 2, (1,)), "Matrix", "expected 4 entries for 2x2, got 1"),
+    (lambda: from_rows(ZMAX, []), "from_rows", "at least one row and one column"),
+    (lambda: from_rows(ZMAX, [[1, 2], [3]]), "from_rows", "same length"),
+    (lambda: interval_bounds(Z22), "interval_bounds", "not over an interval semiring"),
+    (lambda: interval_join(ZMAX, Z22, Z22), "interval_join", "not an interval lift"),
+    (lambda: interval_join(IZMAX, G22, G22), "interval_join", "over the base semiring"),
+    (lambda: negate_transpose(I22), "negate_transpose", "no conjugation over"),
+], ids=["otimes-mixed", "odot-mixed", "lres-mixed", "rres-mixed", "dualres-mixed",
+        "same-shape-mixed", "odot-inner", "matrix-dims", "matrix-entries", "from-rows-empty",
+        "from-rows-ragged", "bounds-not-interval", "join-not-interval", "join-base",
+        "negate-transpose"])
+def test_shape_guards_name_their_kernel(call, kernel, message):
+    with pytest.raises(ShapeError) as exc:
+        call()
+    assert str(exc.value).startswith(f"{kernel}: ") and message in str(exc.value)
 
 
 # Entry pools for the max-plus kernel: no finite entry at all, finite entries

@@ -37,6 +37,7 @@ from dioid import (
 )
 from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
+from dioid.intervals import IGAMMA, Interval
 from dioid.series import Series, format_series, is_monomial, value_at, values
 
 from conftest import (
@@ -599,6 +600,31 @@ class TestWorkBound:
         with pytest.raises(DivergenceError, match="star"):
             s_star(s)
         assert time.perf_counter() - start < 1.0
+
+
+class TestParseCost:
+    def test_polynomial_literal_is_one_sum(self):
+        # 1,000 plain terms spread over 100,000 exponents: summed by one
+        # from_monomials call, not one window join per term.
+        text = "+".join(f"{i}.g{100 * i + 1}" for i in range(1, 1001))
+        start = time.perf_counter()
+        s = parse_series(text)
+        assert time.perf_counter() - start < 1.0
+        assert s == from_monomials(Monomial(i, 100 * i + 1) for i in range(1, 1001))
+
+    def test_plain_and_periodic_terms(self):
+        assert g("e+1.g2+eps+0.g0.(1.g1)*") == s_oplus(
+            from_monomials([Monomial(0, 0), Monomial(1, 2)]), g("0.g0.(1.g1)*"))
+        assert g("1.g2+top+0.g0.(1.g1)*") == S_TOP
+
+    def test_terms_after_a_period_are_joined_in_turn(self):
+        # Summed first, these plain terms would span exponents 0..321,863 and
+        # their one join with the periodic term would pass the work cap.
+        text = "6.g181153.(4.g6)*+12.g321863+6.g69892+e"
+        expect = s_oplus(s_oplus(s_oplus(g("6.g181153.(4.g6)*"), g("12.g321863")),
+                                 g("6.g69892")), S_ONE)
+        assert parse_series(text) == expect
+        assert IGAMMA.parse(text) == Interval(expect, expect)
 
 
 class TestConstructorChecks:
