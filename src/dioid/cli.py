@@ -9,9 +9,10 @@ prints the asymptotic slope of every entry of a series matrix.
 
 Inputs are matrix files (header line ``rows cols`` then rows of literals);
 the result is printed to stdout as bare rows and written with the header
-when ``-o`` is given.  Exit status: 0 on success, 1 on a domain error,
-2 on a parse error.  A failure prints one ``dioid: ...`` line on stderr; a
-success prints one ``dioid: warning: ...`` line per warning.
+when ``-o`` is given.  Exit status: 0 on success, 1 on a domain error or an
+input or ``-o`` file that cannot be read or written, 2 on a parse error.  A
+failure prints one ``dioid: ...`` line on stderr; a success prints one
+``dioid: warning: ...`` line per warning.
 """
 
 from __future__ import annotations
@@ -184,8 +185,12 @@ def _command(args: argparse.Namespace) -> str:
     result = _run(args.command, [_load(p, semiring) for p in args.inputs])
     out = _format(result, False)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(_format(result, True))
+        text = _format(result, True)
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DioidError(f"cannot write {args.output}: {exc}") from None
     return out
 
 

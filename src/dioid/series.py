@@ -26,13 +26,16 @@ pattern monomial need not be steps: ``0.g0.(1.g2)*+1.g1.(1.g2)*`` is worth
 
 All exact operations work on a sliding window of explicit values together
 with a *proven* periodicity rank computed from the operands (crossing
-bounds for max/min, shift arguments for residuals, a verified recurrence
-window for stars), so no result is ever guessed from a finite prefix.
+bounds for max/min, a dominance bound for a transient beside a pattern,
+shift arguments for residuals, a verified recurrence window for stars), so
+no result is ever guessed from a finite prefix.
 
 Every step on a window is one linear pass over Python ints.  ``values``
 sweeps the staircase steps once, transient first, then the pattern copies,
-filling constant runs: O(window + steps).  ``pattern_series`` drops each copy
-into an event array and takes a running max.  ``_reconstruct`` reads the
+filling constant runs: O(window + steps).  ``pattern_series`` drops each copy,
+and each transient monomial, into an event array and takes a running max; a
+product is one such sweep per distinct period (see ``s_otimes``), and a join
+of two polynomials is one ``from_monomials`` merge.  ``_reconstruct`` reads the
 steps, the minimal period and the earliest rank straight off the ints.  Two
 windows are joined or met by comparing ints on their common finite stretch,
 and a residual value is one minimum over the denominator's steps.  Eps and
@@ -267,7 +270,16 @@ def _steps(vals: list[Scalar], lo: int, end: int) -> tuple[list[int], list[Scala
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
+    small: list[int] = []
+    large: list[int] = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            large.append(n // d)
+    if small[-1] == large[-1]:  # n is a square
+        large.pop()
+    return small + large[::-1]
 
 
 def _reconstruct(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> Series:
@@ -357,34 +369,51 @@ def from_monomials(monos: Iterable[Monomial]) -> Series:
     return Series(tuple(out), (), None)
 
 
-def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
-    """Canonical form of pattern (x) period*: sum of shifted pattern copies."""
+def pattern_series(monos: Iterable[Monomial], period: Monomial,
+                   transient: Iterable[Monomial] = ()) -> Series:
+    """Canonical form of transient (+) pattern (x) period*: the transient
+    monomials once, the pattern monomials with every shifted copy."""
     if not isinstance(period.coeff, int) or period.coeff <= 0 or period.exp <= 0:
         raise SeriesDomainError(
             f"period must have positive finite coefficient and exponent, got {period}"
         )
     tau, nu = period.coeff, period.exp
     fin: list[Monomial] = []
+    poly: list[Monomial] = []
     tops: list[Monomial] = []
-    for m in monos:
-        if m.coeff is EPS:
-            continue
-        (tops if m.coeff is TOP else fin).append(m)
-    top_part = from_monomials(tops) if tops else S_EPS
+    for group, ms in ((fin, monos), (poly, transient)):
+        for m in ms:
+            if m.coeff is EPS:
+                continue
+            (tops if m.coeff is TOP else group).append(m)
     if not fin:
-        return top_part
-    lo = min(m.exp for m in fin)
+        return from_monomials(poly + tops)
+    lo = min(m.exp for m in fin + poly)
     rank = max(m.exp for m in fin)
+    if poly:
+        # From ``rank`` on every pattern monomial has a copy at or below the
+        # exponent, so k periods later the periodic part is at least its
+        # largest coefficient plus k*tau.  Once that passes the transient's
+        # largest coefficient, the transient adds nothing: the recurrence
+        # holds, and transient monomials past the window are dominated.
+        gap = max(m.coeff for m in poly) - max(m.coeff for m in fin)
+        if gap > 0:
+            rank += -(-gap // tau) * nu
     _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
-    # Event array: the largest copy landing on each exponent (``floor`` where
-    # none does), then a running max; the monomial at lo starts it.
+    # Event array: the largest monomial or copy landing on each exponent
+    # (``floor`` where none does), then a running max; a monomial at lo
+    # starts it.
     n = rank + 2 * nu - lo + 1
-    floor = min(m.coeff for m in fin) - 1
+    floor = min(m.coeff for m in fin + poly) - 1
     events = [floor] * n
     for m in fin:
         i, c = m.exp - lo, m.coeff
         ev = events[i::nu]
         events[i::nu] = [x if x >= y else y for x, y in zip(ev, range(c, c + tau * len(ev), tau))]
+    for m in poly:
+        i = m.exp - lo
+        if i < n and m.coeff > events[i]:
+            events[i] = m.coeff
     vals = []
     cur = floor
     for x in events:
@@ -392,7 +421,7 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial) -> Series:
             cur = x
         vals.append(cur)
     out = _reconstruct(vals, lo, tau, nu, rank)
-    return s_oplus(out, top_part) if not is_eps(top_part) else out
+    return s_oplus(out, from_monomials(tops)) if tops else out
 
 
 def make_series(
@@ -406,7 +435,7 @@ def make_series(
         if pattern:
             raise SeriesDomainError("a pattern requires a period")
         return from_monomials(transient)
-    return s_oplus(from_monomials(transient), pattern_series(pattern, period))
+    return pattern_series(pattern, period, transient)
 
 
 def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
@@ -501,6 +530,9 @@ def s_oplus(a: Series, b: Series) -> Series:
         return a
     if a.all_top or b.all_top:
         return S_TOP
+    if a.period is None and b.period is None:
+        # Two polynomials, top-tailed or not: a merge of their monomials.
+        return from_monomials(a.transient + b.transient)
     lo = min(_min_exp(a), _min_exp(b))
     ta, tb = _top_tail_exp(a), _top_tail_exp(b)
     if ta is not None or tb is not None:
@@ -541,7 +573,19 @@ def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
 
 
 def s_otimes(a: Series, b: Series) -> Series:
-    """Product: sup-convolution of the two staircases."""
+    """Product: sup-convolution of the two staircases.
+
+    With a = p1 (+) q1 r1* and b = p2 (+) q2 r2*, the rational identities
+    p (x) q r* = (pq) r*, r* r* = r* and r1* r2* = (r1 (+) r2)* give
+
+        a (x) b = p1p2 (+) (p1q2) r2* (+) (q1p2) r1* (+) q1q2 w,
+
+    where w = r1* when r1 == r2, and otherwise w = (r1 (+) r2)* = tw (+) qw rw*
+    splits into the polynomial q1q2 tw and the periodic (q1q2 qw) rw*.  So
+    the product is one ``pattern_series`` per distinct period, the first of
+    which also takes the polynomial, joined: one sweep and no join when the
+    periods are equal.  Two polynomials give one ``from_monomials``.
+    """
     if is_eps(a) or is_eps(b):
         return S_EPS
     if a.all_top or b.all_top:
@@ -555,20 +599,29 @@ def s_otimes(a: Series, b: Series) -> Series:
 
     p1, q1, r1 = a.transient, a.pattern, a.period
     p2, q2, r2 = b.transient, b.pattern, b.period
-    pieces: list[Series] = []
-    if p1 and p2:
-        pieces.append(from_monomials(_poly_mul(p1, p2)))
-    if r2 is not None and p1:
-        pieces.append(pattern_series(_poly_mul(p1, q2), r2))
-    if r1 is not None and p2:
-        pieces.append(pattern_series(_poly_mul(q1, p2), r1))
+    poly = _poly_mul(p1, p2)
+    by_period: dict[Monomial, list[Monomial]] = {}
     if r1 is not None and r2 is not None:
-        w = _poly_star([r1, r2])
-        for m in _poly_mul(q1, q2):
-            pieces.append(_shift_series(w, m.coeff, m.exp))
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = s_oplus(out, p)
+        q12 = _poly_mul(q1, q2)
+        if r1 == r2:
+            by_period[r1] = q12
+        elif not p1 and not p2 and len(q12) == 1:
+            # (m1 r1*)(m2 r2*) = m1m2 (r1 (+) r2)*: a shift of the canonical star.
+            return _shift_series(_poly_star([r1, r2]), q12[0].coeff, q12[0].exp)
+        else:
+            w = _poly_star([r1, r2])
+            poly += _poly_mul(q12, w.transient)
+            by_period[w.period] = _poly_mul(q12, w.pattern)
+    if r2 is not None and p1:
+        by_period.setdefault(r2, []).extend(_poly_mul(p1, q2))
+    if r1 is not None and p2:
+        by_period.setdefault(r1, []).extend(_poly_mul(q1, p2))
+    if not by_period:
+        return from_monomials(poly)
+    (r, monos), *rest = by_period.items()
+    out = pattern_series(monos, r, poly)
+    for r, monos in rest:
+        out = s_oplus(out, pattern_series(monos, r))
     return out
 
 
@@ -733,11 +786,13 @@ def s_star(s: Series) -> Series:
         raise SeriesDomainError("star of a series with negative exponents is not representable")
     if s.period is None:
         return _poly_star(list(s.transient))
-    u = _poly_star(list(s.pattern) + [s.period])
-    tail = S_EPS
-    for m in s.pattern:
-        tail = s_oplus(tail, _shift_series(u, m.coeff, m.exp))
-    inner = s_oplus(S_ONE, tail)
+    # s = p (+) q r* gives s* = p* (e (+) q u), u = (q (+) r)* = tu (+) qu ru*,
+    # and e (+) q u is one pattern series: (e (+) q tu) (+) (q qu) ru*.  When u
+    # is the polynomial top.g0 there is no pattern, and any period serves.
+    q = s.pattern
+    u = _poly_star(list(q) + [s.period])
+    inner = pattern_series(_poly_mul(q, u.pattern), u.period or s.period,
+                           [Monomial(0, 0)] + _poly_mul(q, u.transient))
     head = _poly_star(list(s.transient)) if s.transient else S_ONE
     return s_otimes(head, inner)
 

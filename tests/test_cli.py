@@ -251,6 +251,27 @@ class TestExitCodes:
     def test_missing_file_is_1(self, workdir, capsys):
         assert main(["star", "/nonexistent/x.mat"]) == 1
 
+    def test_unwritable_output_is_1(self, workdir, capsys):
+        tmp, write = workdir
+        a = write("a.mat", "1 1\n3\n")
+        out = str(tmp / "missing" / "x.mat")
+        assert main(["prod", a, a, "-o", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"dioid: error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_series_product_of_far_apart_monomials(self, workdir, capsys):
+        # The join of 1.g0 and 2.g300000 merges two polynomials; a window
+        # over their exponents would pass the work cap.
+        _, write = workdir
+        a = write("a.mat", "1 2\n1.g0 2.g300000\n")
+        b = write("b.mat", "2 1\n0.g0\n0.g0\n")
+        start = time.perf_counter()
+        assert main(["prod", "--type", "series", a, b]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "1.g0+2.g300000\n"
+
     @pytest.mark.parametrize("argv,negate", [(["prod"], False), (["lres"], True)],
                              ids=["prod", "lres"])
     def test_result_past_digit_limit_is_1(self, workdir, capsys, argv, negate):

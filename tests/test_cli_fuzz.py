@@ -73,7 +73,9 @@ def test_every_input_ends_with_one_line(workdir, data):
         argv.append(str(path))
     argv += ["--type", kind]
     if command in _OPS and data.draw(st.booleans(), label="-o"):
-        argv += ["-o", str(workdir / "out.mat")]
+        # A writable target, or one in a directory that does not exist.
+        target = data.draw(st.sampled_from(["out.mat", "missing/out.mat"]), label="target")
+        argv += ["-o", str(workdir / target)]
 
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
