@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package, and its one work cap."""
+"""Exception hierarchy shared across the package, and its input caps."""
 
 # Work guard: a series sweep or an oracle scan whose estimated work would pass
 # this is refused instead of run or silently truncated.
 _WINDOW_CAP = 1 << 18
+
+# Longest integer literal parsed, in digits, whatever the interpreter's own
+# limit on converting strings to ints.  It also bounds the field width of the
+# packed max-plus product for matrices read from text.
+_DIGIT_CAP = 4300
 
 
 class DioidError(Exception):

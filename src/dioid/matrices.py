@@ -31,8 +31,31 @@ and K = 3m + 1, top is K and eps -3K for (x), top 3K and eps -K for (.).
 Every sum of two codes then lands in one of three disjoint ranges: above 2m
 where the exact result is top, below -2m where it is eps, and the exact
 finite value in between, so one integer max (or min) per entry is exact for
-integers of any size.  Series matrices use one generic fold, which stops
-once its accumulator is absorbing (top for (+), eps for (^)).
+integers of any size.
+
+The max (or min) runs over packed rows, many entries per integer operation.
+Shifted by off = 3K every code is non-negative, and a sum of two shifted
+codes lies in [0, 12K].  Each row of R is packed into one int with one field
+of W bits per output column, W the bit length of 12K plus a guard bit,
+rounded up to whole bytes.  For a row u of L the accumulator folds, over the
+inner index k, the fields y = P_k + (u_k + off) * ONES, where ONES has a 1 in
+the lowest bit of every field and H a 1 in every guard bit.  In
+d = (acc | H) - y no field borrows from the next, and a field keeps its guard
+bit exactly where acc >= y, with acc - y below it; so with g = d & H,
+d & (g - (g >> (W-1))) is acc - y where acc >= y and 0 elsewhere, and adding
+it to y gives the field-wise max (subtracting it from acc the min).  A term
+whose L code is eps (top for (.)) is eps (top) in every column, so it is
+skipped and the accumulator starts there.  Each output row is unpacked once
+and decoded as above.  The entry-by-entry reduction, one max(map(add, u, w))
+per output entry, stays where packing costs more than it saves: below
+``_PACK_MIN_COLS`` (16) output columns, where packing and unpacking a row
+cost more than the fewer integer operations save, and for fields wider than
+``_PACK_MAX_BITS`` (128) bits, where every field pays for the widest entry
+and a packed row of R costs W bits per entry in time and memory, however
+small the other entries are.
+
+Series matrices use one generic fold, which stops once its accumulator is
+absorbing (top for (+), eps for (^)).
 
 Interval matrices run every kernel bound by bound, on the bound matrices
 over the base type, so interval max-plus runs the integer kernels.  The
@@ -217,13 +240,22 @@ def _cols(entries, c: int) -> list:
     return [entries[j::c] for j in range(c)]
 
 
+# The packed reduction serves products with at least this many output
+# columns and fields at most this many bits wide (largest finite magnitude up
+# to about 4.7 * 10^36); see the module docstring.
+_PACK_MIN_COLS = 16
+_PACK_MAX_BITS = 128
+
+
 def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
                   conj_x: bool = False) -> Matrix:
     """L (x) R, or L (.) R when ``dual``, of max-plus matrices, where L is A
     or, with ``conj_a``, conj(A)^T, and R is X or, with ``conj_x``, conj(X)^T.
 
-    Each output entry is one integer max (or min) of sums of codes; see the
-    module docstring for the encoding.  The caller checks the shapes.
+    Each output entry is one integer max (or min) of sums of codes, taken
+    field by field over packed rows of R or, for few output columns or wide
+    fields, one entry at a time; see the module docstring for the encoding
+    and the choice.  The caller checks the shapes.
     """
     fin = [v for v in chain(a.entries, x.entries) if v is not EPS and v is not TOP]
     m = max(map(abs, fin)) if fin else 0
@@ -231,17 +263,64 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     hi, lo = (3 * k, -k) if dual else (k, -3 * k)
     ea = _encode(a.entries, hi, lo, conj_a)
     ex = _encode(x.entries, hi, lo, conj_x)
-    # Rows of L and columns of R.
+    # Rows of L.
     left = _cols(ea, a.cols) if conj_a else _rows(ea, a.cols)
-    right = _rows(ex, x.cols) if conj_x else _cols(ex, x.cols)
-    red = min if dual else max
-    bound, low = 2 * m, -2 * m
-    out = [
-        TOP if (v := red(map(add, u, w))) > bound else EPS if v < low else v
-        for u in left
-        for w in right
+    c = x.rows if conj_x else x.cols
+    # The field width is the bit length of 12K plus a guard bit, in bytes.
+    if c < _PACK_MIN_COLS or (width := ((12 * k).bit_length() + 8) // 8 * 8) > _PACK_MAX_BITS:
+        # Columns of R.
+        right = _rows(ex, x.cols) if conj_x else _cols(ex, x.cols)
+        red = min if dual else max
+        bound, low = 2 * m, -2 * m
+        out = [
+            TOP if (v := red(map(add, u, w))) > bound else EPS if v < low else v
+            for u in left
+            for w in right
+        ]
+    else:
+        # Rows of R.
+        rows = _cols(ex, x.cols) if conj_x else _rows(ex, x.cols)
+        out = _packed_product(left, rows, c, m, width, dual)
+    return Matrix(ZMAX, len(left), c, tuple(out))
+
+
+def _packed_product(left, rows, c: int, m: int, width: int, dual: bool) -> list:
+    """The entries of ``_zmax_product`` from the rows of codes of L and of R:
+    each row of R is packed into one int of ``c`` fields ``width`` bits wide,
+    and each output row is one field-wise max (min when ``dual``) over them.
+    """
+    k = 3 * m + 1
+    size, gbit = width // 8, width - 1
+    ones = int.from_bytes(b"\x01".ljust(size, b"\0") * c, "little")
+    guard = ones << gbit
+    # A field holds a sum of codes shifted by 2 * off = 6K: R's codes carry
+    # both shifts, so a term adds L's code unshifted.
+    zero = 6 * k
+    packed = [
+        int.from_bytes(b"".join([(v + zero).to_bytes(size, "little") for v in r]), "little")
+        for r in rows
     ]
-    return Matrix(ZMAX, len(left), len(right), tuple(out))
+    # A term whose L code is this sentinel is eps (top for (.)) in every
+    # column, which the accumulator starts with.
+    skip, init = (3 * k, 2 * zero * ones) if dual else (-3 * k, 0)
+    bound, low = zero + 2 * m, zero - 2 * m
+    out = []
+    for u in left:
+        acc = init
+        for uk, p in zip(u, packed):
+            if uk != skip:
+                y = p + uk * ones
+                # Guard bit set where acc >= y, then acc - y in those fields.
+                d = (acc | guard) - y
+                g = d & guard
+                d &= g - (g >> gbit)
+                acc = acc - d if dual else y + d
+        buf = acc.to_bytes(c * size, "little")
+        out += [
+            TOP if f > bound else EPS if f < low else f - zero
+            for f in [int.from_bytes(buf[j:j + size], "little") for j in range(0, c * size, size)]
+        ]
+    return out
 
 
 def _fold(sr, left, right, term, dual: bool) -> Matrix:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from typing import Union
 
-from .errors import ParseError
+from .errors import _DIGIT_CAP, ParseError
 
 
 class Extreme(enum.Enum):
@@ -157,14 +157,30 @@ def parse_scalar(text: str) -> Scalar:
     raise ParseError(f"invalid scalar literal {text!r}")
 
 
+# The lowest limit an interpreter can set on converting a string to an int.
+_SAFE_DIGITS = 640
+
+
 def parse_int(text: str) -> int:
-    """A signed decimal integer; one too long for the interpreter to convert
-    is a ``ParseError``, not a ``ValueError``."""
-    try:
+    """A signed decimal integer of at most ``_DIGIT_CAP`` digits; a longer one
+    is a ``ParseError``.
+
+    A longer literal than ``_SAFE_DIGITS`` is converted in chunks of that
+    many digits, so the literals accepted do not depend on the interpreter's
+    limit.
+    """
+    if len(text) <= _SAFE_DIGITS:
         return int(text)
-    except ValueError:
-        digits = len(text.lstrip("+-"))
-        raise ParseError(f"integer literal of {digits} digits is too long to convert") from None
+    digits = text[1:] if text[:1] in "+-" else text
+    if len(digits) > _DIGIT_CAP:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits is past the cap of {_DIGIT_CAP} digits"
+        )
+    value = 0
+    for i in range(0, len(digits), _SAFE_DIGITS):
+        chunk = digits[i:i + _SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text[:1] == "-" else value
 
 
 def format_scalar(a: Scalar) -> str:

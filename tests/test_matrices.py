@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 from functools import reduce
@@ -44,7 +46,7 @@ from dioid import (
     top_matrix,
     wedge_closure,
 )
-from dioid import zmax
+from dioid import matrices, zmax
 from dioid.errors import SeriesDomainError, ShapeError
 from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_bounds,
                             interval_join)
@@ -206,6 +208,37 @@ def operand_shapes(name, p, q, r):
     return (q, p), (q, r)
 
 
+def loop_entries(name, a, x, p, q, r):
+    """The p x r entries of ``name`` on a and x, inner length q, folded from
+    the scalar tables by a triple loop."""
+    _, join, unit, term = SCALAR_TABLES[name]
+    return tuple(
+        reduce(join, (term(a, x, i, j, k) for k in range(q)), unit)
+        for i in range(p)
+        for j in range(r)
+    )
+
+
+def draw_operands(rng, name, shape, draw_a, draw_x):
+    (ra, ca), (rx, cx) = operand_shapes(name, *shape)
+    a = from_rows(ZMAX, [[draw_a(rng) for _ in range(ca)] for _ in range(ra)])
+    x = from_rows(ZMAX, [[draw_x(rng) for _ in range(cx)] for _ in range(rx)])
+    return a, x
+
+
+def spy_packed(monkeypatch):
+    """Count the products that take the packed reduction."""
+    calls = []
+    packed = matrices._packed_product
+
+    def spy(*args):
+        calls.append(None)
+        return packed(*args)
+
+    monkeypatch.setattr(matrices, "_packed_product", spy)
+    return calls
+
+
 class TestProductsAgainstLoops:
     """Triple-loop re-computation with scalar operations only."""
 
@@ -215,21 +248,80 @@ class TestProductsAgainstLoops:
         # pools in turn; the expected entries are folded from the scalar tables.
         rng = random.Random(f"kernel:{name}")
         pools = sorted(ENTRY_POOLS)
-        op, join, unit, term = SCALAR_TABLES[name]
-        for idx, (p, q, r) in enumerate(product(range(1, 8), repeat=3)):
+        op = SCALAR_TABLES[name][0]
+        for idx, shape in enumerate(product(range(1, 8), repeat=3)):
             draw_a = ENTRY_POOLS[pools[idx % len(pools)]]
             draw_x = ENTRY_POOLS[pools[idx // len(pools) % len(pools)]]
-            (ra, ca), (rx, cx) = operand_shapes(name, p, q, r)
-            a = from_rows(ZMAX, [[draw_a(rng) for _ in range(ca)] for _ in range(ra)])
-            x = from_rows(ZMAX, [[draw_x(rng) for _ in range(cx)] for _ in range(rx)])
-            expected = tuple(
-                reduce(join, (term(a, x, i, j, k) for k in range(q)), unit)
-                for i in range(p)
-                for j in range(r)
-            )
+            a, x = draw_operands(rng, name, shape, draw_a, draw_x)
             got = op(a, x)
-            assert (got.rows, got.cols) == (p, r)
-            assert got.entries == expected, (name, a, x)
+            assert (got.rows, got.cols) == (shape[0], shape[2])
+            assert got.entries == loop_entries(name, a, x, *shape), (name, a, x)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_TABLES))
+    def test_both_sides_of_the_packed_selection(self, name, monkeypatch):
+        # Output widths just below, at and above the packing crossover and one
+        # far past it, with 1xq, px1 and general left factors, under every
+        # pair of pools.  Below the crossover every product runs the list
+        # reduction; above it the packed one, except where a multiple of
+        # 10^400 makes the fields too wide.
+        calls = spy_packed(monkeypatch)
+        cross = matrices._PACK_MIN_COLS
+        rng = random.Random(f"packed:{name}")
+        op = SCALAR_TABLES[name][0]
+        for r in (cross - 1, cross, cross + 1, 41):
+            before = len(calls)
+            cases = 0
+            for (p, q), pa, px in product(((1, 4), (3, 1), (2, 3)), ENTRY_POOLS, ENTRY_POOLS):
+                a, x = draw_operands(rng, name, (p, q, r), ENTRY_POOLS[pa], ENTRY_POOLS[px])
+                got = op(a, x)
+                assert (got.rows, got.cols) == (p, r)
+                assert got.entries == loop_entries(name, a, x, p, q, r), (name, a, x)
+                cases += 1
+            packed = len(calls) - before
+            assert packed == 0 if r < cross else 0 < packed < cases, (r, packed, cases)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_TABLES))
+    def test_left_rows_of_eps_and_of_top(self, name, monkeypatch):
+        # L's first row is all eps and its second all top: the packed
+        # reduction skips every term of one of them and returns its starting
+        # accumulator for it.  The residuals of A have L = conj(A)^T.
+        calls = spy_packed(monkeypatch)
+        cross = matrices._PACK_MIN_COLS
+        rng = random.Random(f"sentinel-rows:{name}")
+        op = SCALAR_TABLES[name][0]
+        for r, pool, q in product((cross - 1, cross + 1), ("small", "unit", "int64"), (1, 5)):
+            p = 4
+            _, x = draw_operands(rng, name, (p, q, r), ENTRY_POOLS[pool], ENTRY_POOLS[pool])
+            a = from_rows(ZMAX, [[EPS] * q, [TOP] * q] + [
+                [ENTRY_POOLS[pool](rng) for _ in range(q)] for _ in range(p - 2)])
+            if name in ("left_residual", "dual_residual"):
+                a = negate_transpose(a)
+            got = op(a, x)
+            assert got.entries == loop_entries(name, a, x, p, q, r), (name, a, x)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("name", ["mat_otimes", "left_residual"])
+    def test_one_wide_entry_keeps_the_list_reduction(self, name):
+        # One 4,000-digit entry would make every packed field 13,000 bits
+        # wide: time and memory stay those of the entry-by-entry reduction.
+        rng = random.Random(f"wide:{name}")
+        op = SCALAR_TABLES[name][0]
+        n = 48
+        a, x = draw_operands(rng, name, (n, n, n), ENTRY_POOLS["small"], ENTRY_POOLS["small"])
+        entries = list(a.entries)
+        entries[rng.randrange(n * n)] = -(10**3999) - 7
+        a = Matrix(ZMAX, n, n, tuple(entries))
+        start = time.perf_counter()
+        got = op(a, x)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            op(a, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6, peak
+        assert got.entries == loop_entries(name, a, x, n, n, n)
 
     def test_otimes(self):
         rng = random.Random(2)

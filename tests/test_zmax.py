@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dioid import EPS, TOP
 from dioid import zmax
-from dioid.errors import ParseError
+from dioid.errors import _DIGIT_CAP, ParseError
 
 GRID = [EPS] + list(range(-20, 21)) + [TOP]
 
@@ -183,3 +184,26 @@ class TestTextForm:
     def test_rejects_non_ascii_digits_and_trailing_newline(self, bad):
         with pytest.raises(ParseError):
             zmax.parse_scalar(bad)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no int digit limit")
+    @pytest.mark.parametrize("limit", [0, 640, None], ids=["unlimited", "640", "default"])
+    def test_digit_cap_does_not_depend_on_the_interpreter_limit(self, limit):
+        # Literals up to the cap parse under any limit the interpreter can
+        # be given, on either side of a 640-digit chunk; one digit more than
+        # the cap is refused with the cap in the message.
+        old = sys.get_int_max_str_digits()
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            for length in (639, 640, 641, 1280, 1281, _DIGIT_CAP):
+                value = 7 * 10 ** (length - 1) + (10 ** (length - 1) - 1) // 3
+                within = "7" + "3" * (length - 1)
+                assert zmax.parse_scalar(within) == value, length
+                assert zmax.parse_scalar("+" + within) == value, length
+                assert zmax.parse_scalar("-" + within) == -value, length
+            for past in (within + "1", "+" + within + "0", "-" + within + "9"):
+                with pytest.raises(ParseError, match=f"past the cap of {_DIGIT_CAP} digits"):
+                    zmax.parse_scalar(past)
+        finally:
+            sys.set_int_max_str_digits(old)
