@@ -48,11 +48,12 @@ whose L code is eps (top for (.)) is eps (top) in every column, so it is
 skipped and the accumulator starts there.  Each output row is unpacked once
 and decoded as above.  The entry-by-entry reduction, one max(map(add, u, w))
 per output entry, stays where packing costs more than it saves: below
-``_PACK_MIN_COLS`` (16) output columns, where packing and unpacking a row
-cost more than the fewer integer operations save, and for fields wider than
-``_PACK_MAX_BITS`` (128) bits, where every field pays for the widest entry
-and a packed row of R costs W bits per entry in time and memory, however
-small the other entries are.
+``_PACK_MIN_ROWS`` (4) output rows, where packing R costs about as much as
+the list reduction of one output row, below ``_PACK_MIN_COLS`` (16) output
+columns, where packing and unpacking a row cost more than the fewer integer
+operations save, and for fields wider than ``_PACK_MAX_BITS`` (128) bits,
+where every field pays for the widest entry and a packed row of R costs W
+bits per entry in time and memory, however small the other entries are.
 
 Series matrices use one generic fold, which stops once its accumulator is
 absorbing (top for (+), eps for (^)).
@@ -240,9 +241,10 @@ def _cols(entries, c: int) -> list:
     return [entries[j::c] for j in range(c)]
 
 
-# The packed reduction serves products with at least this many output
-# columns and fields at most this many bits wide (largest finite magnitude up
-# to about 4.7 * 10^36); see the module docstring.
+# The packed reduction serves products with at least this many output rows
+# and columns and fields at most this many bits wide (largest finite
+# magnitude up to about 4.7 * 10^36); see the module docstring.
+_PACK_MIN_ROWS = 4
 _PACK_MIN_COLS = 16
 _PACK_MAX_BITS = 128
 
@@ -253,9 +255,9 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     or, with ``conj_a``, conj(A)^T, and R is X or, with ``conj_x``, conj(X)^T.
 
     Each output entry is one integer max (or min) of sums of codes, taken
-    field by field over packed rows of R or, for few output columns or wide
-    fields, one entry at a time; see the module docstring for the encoding
-    and the choice.  The caller checks the shapes.
+    field by field over packed rows of R or, for few output rows or columns
+    or wide fields, one entry at a time; see the module docstring for the
+    encoding and the choice.  The caller checks the shapes.
     """
     fin = [v for v in chain(a.entries, x.entries) if v is not EPS and v is not TOP]
     m = max(map(abs, fin)) if fin else 0
@@ -267,7 +269,8 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     left = _cols(ea, a.cols) if conj_a else _rows(ea, a.cols)
     c = x.rows if conj_x else x.cols
     # The field width is the bit length of 12K plus a guard bit, in bytes.
-    if c < _PACK_MIN_COLS or (width := ((12 * k).bit_length() + 8) // 8 * 8) > _PACK_MAX_BITS:
+    if (len(left) < _PACK_MIN_ROWS or c < _PACK_MIN_COLS
+            or (width := ((12 * k).bit_length() + 8) // 8 * 8) > _PACK_MAX_BITS):
         # Columns of R.
         right = _rows(ex, x.cols) if conj_x else _cols(ex, x.cols)
         red = min if dual else max

@@ -33,7 +33,7 @@ from .matrices import (
     mat_wedge,
     wedge_closure,
 )
-from .projector import check_hypothesis
+from .projector import _refused_entry, check_hypothesis
 from .zmax import EPS, TOP, Scalar, ZMAX
 
 
@@ -211,15 +211,20 @@ def interval_project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
         upper = H* \\ X0_hi
         lower = (G* \\ X0_lo) ^ upper
 
-    This agrees with running ``project`` on the interval matrices.
+    This agrees with running ``project`` on the interval matrices.  A
+    refused B raises ``HypothesisError`` naming its first refused entry and
+    the bound that fails there.
     """
-    if not check_hypothesis(b):
-        raise HypothesisError(
-            "projector: the associativity condition fails for a bound of B"
-        )
     a_lo, a_hi = interval_bounds(a)
     b_lo, b_hi = interval_bounds(b)
     x_lo, x_hi = interval_bounds(x0)
+    if not check_hypothesis(b):
+        where, e = _refused_entry(b)
+        bound = "upper" if b_lo.semiring.odot_left_ok(e.lo) else "lower"
+        raise HypothesisError(
+            f"projector: the associativity condition fails for the {bound} bound of B "
+            f"at {where}"
+        )
     g_lo = dual_residual(wedge_closure(b_lo), kleene_star(a_lo))
     g_hi = dual_residual(wedge_closure(b_hi), kleene_star(a_hi))
     upper = left_residual(kleene_star(mat_oplus(g_lo, g_hi)), x_hi)

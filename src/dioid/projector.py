@@ -51,6 +51,15 @@ def check_hypothesis(b: Matrix) -> bool:
     return all(map(b.semiring.odot_left_ok, b.entries))
 
 
+def _refused_entry(b: Matrix) -> tuple:
+    """``entry (i,j) = literal`` for the first entry of B, in row order and
+    counted from 1, that fails the associativity condition, and the entry."""
+    sr = b.semiring
+    k = next(k for k, e in enumerate(b.entries) if not sr.odot_left_ok(e))
+    i, j = divmod(k, b.cols)
+    return f"entry ({i + 1},{j + 1}) = {sr.format(b.entries[k])}", b.entries[k]
+
+
 def membership(a: Matrix, b: Matrix, x: Matrix) -> bool:
     """True iff A (x) X <= X and X <= B (.) X."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows or x.rows != a.rows:
@@ -70,12 +79,14 @@ def project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
     Works over every supported element type.  Over interval lifts every
     kernel runs bound by bound with the residuals' order corrections, which
     yields the two-bound formula that ``oracle.interval_project`` spells out.
-    Raises ``HypothesisError`` when the soundness condition on B fails.
+    Raises ``HypothesisError``, naming the first refused entry of B, when
+    the soundness condition on B fails.
     """
     _validate_shapes(a, b, x0)
     if not check_hypothesis(b):
+        where, _ = _refused_entry(b)
         raise HypothesisError(
-            "projector: the associativity condition fails for B "
+            f"projector: the associativity condition fails for B at {where} "
             "(over series all entries must be eps, top or finite monomials)"
         )
     return left_residual(projector_matrix(a, b), x0)

@@ -155,23 +155,6 @@ def _min_exp(s: Series) -> int:
     return s.pattern[0].exp
 
 
-def value_at(s: Series, j: int) -> Scalar:
-    """Coefficient of the series at exponent j."""
-    if s.all_top:
-        return TOP
-    best: Scalar = EPS
-    for m in s.transient:
-        if m.exp <= j:
-            best = zmax.oplus(best, m.coeff)
-    if s.period is not None:
-        tau, nu = s.period.coeff, s.period.exp
-        for m in s.pattern:
-            if m.exp <= j:
-                k = (j - m.exp) // nu
-                best = zmax.oplus(best, m.coeff + k * tau)
-    return best
-
-
 def values(s: Series, lo: int, hi: int) -> list[Scalar]:
     """Exact coefficients on the exponent window [lo, hi].
 

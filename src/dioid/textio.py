@@ -25,7 +25,12 @@ SEMIRINGS = {
 def parse_matrix(text: str, semiring) -> Matrix:
     """Parse the header + rows format.  Blank lines are skipped; an error in
     a literal, in its grammar or in a domain check such as interval order,
-    is re-raised as the same type naming its line of the text and entry."""
+    is re-raised as the same type naming its line of the text and entry.
+
+    Each distinct literal is parsed once per call: element values are
+    immutable, so equal literals share one value.  The memo is keyed by the
+    literal's text and is dropped when the call returns.
+    """
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty matrix text")
@@ -42,21 +47,25 @@ def parse_matrix(text: str, semiring) -> Matrix:
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}")
     parse = semiring.parse
+    memo: dict = {}
+    get = memo.get
     entries: list = []
+    append = entries.append
     for n, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != cols:
             raise ParseError(f"line {n}: expected {cols} entries, found {len(tokens)}")
-        try:
-            entries += map(parse, tokens)
-        except DioidError:
-            # Only a failing row is scanned again, to name the entry.
-            for c, tok in enumerate(tokens, start=1):
+        for tok in tokens:
+            value = get(tok)  # no literal parses to None
+            if value is None:
                 try:
-                    parse(tok)
+                    value = memo[tok] = parse(tok)
                 except DioidError as exc:
+                    # Every literal left of tok parsed, so its first
+                    # occurrence in the row is the failing entry.
+                    c = tokens.index(tok) + 1
                     raise type(exc)(f"line {n}, entry {c}: {exc}") from None
-            raise
+            append(value)
     return Matrix(semiring, rows, cols, tuple(entries))
 
 

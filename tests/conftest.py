@@ -13,6 +13,7 @@ import random
 from dioid import EPS, TOP, ZMAX, Monomial, from_rows, make_series
 from dioid import zmax
 from dioid.series import Series
+from dioid.zmax import Scalar
 
 # ---------------------------------------------------------------------------
 # max-plus randomness
@@ -107,6 +108,23 @@ def unroll(s: Series, up_to: int) -> list[Monomial]:
                 out.append(Monomial(m.coeff + k * tau, m.exp + k * nu))
                 k += 1
     return out
+
+
+def value_at(s: Series, j: int) -> Scalar:
+    """Coefficient of the series at exponent j."""
+    if s.all_top:
+        return TOP
+    best: Scalar = EPS
+    for m in s.transient:
+        if m.exp <= j:
+            best = zmax.oplus(best, m.coeff)
+    if s.period is not None:
+        tau, nu = s.period.coeff, s.period.exp
+        for m in s.pattern:
+            if m.exp <= j:
+                k = (j - m.exp) // nu
+                best = zmax.oplus(best, m.coeff + k * tau)
+    return best
 
 
 def eval_monomials(monos: list[Monomial], j: int):

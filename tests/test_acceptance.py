@@ -44,10 +44,10 @@ from dioid import (
 )
 from dioid import zmax
 from dioid.matrices import Matrix
-from dioid.series import parse_series, sigma_inf, value_at
+from dioid.series import parse_series, sigma_inf
 from dioid.series import s_lres, s_oplus, s_otimes, s_star, s_wedge
 
-from conftest import eval_series, rand_matrix, rand_positive_series, rand_series
+from conftest import eval_series, rand_matrix, rand_positive_series, rand_series, value_at
 
 
 def report(num: int, label: str, elapsed: float, budget: float) -> None:

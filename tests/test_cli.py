@@ -140,6 +140,17 @@ class TestProjectCommand:
         assert main(["project", a, b, x0, "--type", "series"]) == 1
         assert "associativity" in capsys.readouterr().err
 
+    def test_hypothesis_violation_names_the_entry(self, workdir, capsys):
+        # The benchmark's refused series projector.
+        _, write = workdir
+        a = write("a.mat", "2 2\neps 2.g1\neps eps\n")
+        b = write("b.mat", "2 2\ntop 1.g0+3.g2\ntop top\n")
+        x0 = write("x0.mat", "2 1\n4.g1\n5.g2\n")
+        assert main(["project", a, b, x0, "--type", "series"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("dioid: error: projector: ")
+        assert "fails for B at entry (1,2) = 1.g0+3.g2 " in err
+
 
 class TestSlopeCommand:
     def test_series_slopes(self, workdir, capsys):

@@ -260,25 +260,31 @@ class TestProductsAgainstLoops:
     @pytest.mark.parametrize("name", sorted(SCALAR_TABLES))
     def test_both_sides_of_the_packed_selection(self, name, monkeypatch):
         # Output widths just below, at and above the packing crossover and one
-        # far past it, with 1xq, px1 and general left factors, under every
-        # pair of pools.  Below the crossover every product runs the list
-        # reduction; above it the packed one, except where a multiple of
-        # 10^400 makes the fields too wide.
+        # far past it, with 1xq, px1 and general left factors of 1 to 3 rows
+        # and one of 4 rows, under every pair of pools.  Products of fewer
+        # than 4 rows or below the column crossover run the list reduction;
+        # the others the packed one, except where a multiple of 10^400 makes
+        # the fields too wide.
         calls = spy_packed(monkeypatch)
         cross = matrices._PACK_MIN_COLS
+        assert matrices._PACK_MIN_ROWS == 4
         rng = random.Random(f"packed:{name}")
         op = SCALAR_TABLES[name][0]
-        for r in (cross - 1, cross, cross + 1, 41):
+        for r, (p, q) in product((cross - 1, cross, cross + 1, 41),
+                                 ((1, 4), (3, 1), (2, 3), (4, 2))):
             before = len(calls)
             cases = 0
-            for (p, q), pa, px in product(((1, 4), (3, 1), (2, 3)), ENTRY_POOLS, ENTRY_POOLS):
+            for pa, px in product(ENTRY_POOLS, ENTRY_POOLS):
                 a, x = draw_operands(rng, name, (p, q, r), ENTRY_POOLS[pa], ENTRY_POOLS[px])
                 got = op(a, x)
                 assert (got.rows, got.cols) == (p, r)
                 assert got.entries == loop_entries(name, a, x, p, q, r), (name, a, x)
                 cases += 1
             packed = len(calls) - before
-            assert packed == 0 if r < cross else 0 < packed < cases, (r, packed, cases)
+            if r < cross or p < 4:
+                assert packed == 0, (r, p, packed)
+            else:
+                assert 0 < packed < cases, (r, p, packed, cases)
 
     @pytest.mark.parametrize("name", sorted(SCALAR_TABLES))
     def test_left_rows_of_eps_and_of_top(self, name, monkeypatch):

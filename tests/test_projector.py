@@ -158,6 +158,38 @@ class TestProjectSeries:
         with pytest.raises(HypothesisError):
             project(a, b, x0)
 
+    def test_refusal_names_the_first_refused_entry(self):
+        # Row-major order: (2,1) comes before (2,2), and the monomials and
+        # top of row 1 pass.
+        a = series_matrix(["eps 1.g1", "eps eps"])
+        b = series_matrix(["top 2.g0", "top.g3 1.g0+3.g2"])
+        x0 = series_matrix(["5.g0", "5.g0"])
+        with pytest.raises(HypothesisError) as exc:
+            project(a, b, x0)
+        assert str(exc.value) == (
+            "projector: the associativity condition fails for B at entry (2,1) = top.g3 "
+            "(over series all entries must be eps, top or finite monomials)")
+
+    @pytest.mark.parametrize("row,bound", [
+        ("[0.g0,1.g0+3.g2] [1.g0+3.g2,top]", "upper"),
+        ("[1.g0+3.g2,top] [0.g0,1.g0+3.g2]", "lower"),
+    ], ids=["upper", "lower"])
+    def test_interval_refusal_names_entry_and_bound(self, row, bound):
+        def im(rows):
+            return from_rows(IGAMMA, [[IGAMMA.parse(t) for t in r.split()] for r in rows])
+
+        a = im(["eps [1.g1,2.g1]", "eps eps"])
+        b = im(["top top", row])
+        x0 = im(["5.g0", "5.g0"])
+        entry = row.split()[0]
+        with pytest.raises(HypothesisError) as exc:
+            interval_project(a, b, x0)
+        assert str(exc.value) == ("projector: the associativity condition fails for the "
+                                  f"{bound} bound of B at entry (2,1) = {entry}")
+        with pytest.raises(HypothesisError) as exc:
+            project(a, b, x0)
+        assert f"fails for B at entry (2,1) = {entry} (" in str(exc.value)
+
     def test_monomial_problem_runs(self):
         a = series_matrix(["eps 1.g1", "eps eps"])
         b = series_matrix(["top 2.g0", "top top"])

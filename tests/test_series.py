@@ -38,7 +38,7 @@ from dioid import (
 from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.intervals import IGAMMA, Interval
-from dioid.series import Series, format_series, is_monomial, value_at, values
+from dioid.series import Series, format_series, is_monomial, values
 
 from conftest import (
     SERIES_KINDS,
@@ -47,6 +47,7 @@ from conftest import (
     rand_positive_series,
     rand_series,
     unroll,
+    value_at,
 )
 
 g = parse_series

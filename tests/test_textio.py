@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from dioid import GAMMA, IGAMMA, IZMAX, SEMIRINGS, ZMAX, format_matrix, parse_matrix
+from dioid import GAMMA, IGAMMA, IZMAX, SEMIRINGS, ZMAX, format_matrix, from_rows, parse_matrix
 from dioid.cli import main
-from dioid.errors import DivergenceError, IntervalOrderError, ParseError
+from dioid.errors import DioidError, DivergenceError, IntervalOrderError, ParseError
 
 from conftest import rand_matrix
 
@@ -84,3 +84,108 @@ class TestErrors:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_matrix("   \n", ZMAX)
+
+
+def parse_per_token(text, semiring):
+    """The matrix of ``text`` with every token parsed on its own, in order,
+    an error named by its line and entry as ``parse_matrix`` names it."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    rows = []
+    for n, line in lines[1:]:
+        row = []
+        for c, tok in enumerate(line.split(), start=1):
+            try:
+                row.append(semiring.parse(tok))
+            except DioidError as exc:
+                raise type(exc)(f"line {n}, entry {c}: {exc}") from None
+        rows.append(row)
+    return from_rows(semiring, rows)
+
+
+BIG = "7" * 700
+LITERAL_POOLS = {
+    "maxplus": ["+5", "-0", "0", "007", "e", "eps", "top", BIG, "-" + BIG, "-3", "12",
+                "frog", "1.5", "--1", "9" * 4301],
+    "series": ["e", "eps", "top", "0.g0", "1.g0+3.g2", "4.g1.(18.g1)*", "top.g3", "+5.g1",
+               "007.g2", "2.g3.(1.g1)*", BIG + ".g1", "1.g0+", "1.g0.(0.g1)*", "x"],
+    "interval-maxplus": ["[1,2]", "[eps,top]", "[+5,007]", "5", "-0", "e", "top", f"[1,{BIG}]",
+                         "[5,1]", "[top,eps]", "[1,2", "[1]", "frog"],
+    "interval-series": ["[eps,3.g0]", "[4.g0,7.g0]", "[0.g0,1.g0+3.g2]", "top", "e",
+                        "[1.g0+3.g2,top]", "[3.g0,1.g0]", "[x,top]", "[1.g0.(1.g100000000)*,top]"],
+}
+
+
+class TestLiteralMemo:
+    def test_one_parse_per_distinct_literal(self, monkeypatch):
+        literals = ["eps", "top", "e", "0", "-12", "+5", "007"]
+        rng = random.Random(61)
+        text = "50 50\n" + "".join(
+            " ".join(rng.choice(literals) for _ in range(50)) + "\n" for _ in range(50))
+        calls = []
+        parse = ZMAX.parse
+
+        def spy(tok):
+            calls.append(tok)
+            return parse(tok)
+
+        monkeypatch.setattr(ZMAX, "parse", spy)
+        m = parse_matrix(text, ZMAX)
+        assert sorted(calls) == sorted(literals)
+        assert m.entries == tuple(parse(t) for t in text.split()[2:])
+
+    def test_repeated_bad_literal_names_its_first_line(self):
+        text = "4 3\n1 2 3\n4 frog 6\n7 8 9\nfrog frog 0\n"
+        with pytest.raises(ParseError, match="^line 3, entry 2: invalid scalar literal 'frog'$"):
+            parse_matrix(text, ZMAX)
+
+    @pytest.mark.parametrize("semiring,left,right,error", [
+        (ZMAX, "frog", "toad", ParseError),
+        (GAMMA, "1.g0+", "x", ParseError),
+        (IZMAX, "[5,1]", "[1,frog]", IntervalOrderError),
+        (IZMAX, "[1,frog]", "[5,1]", ParseError),
+        (IGAMMA, "[3.g0,1.g0]", "[x,top]", IntervalOrderError),
+        (IGAMMA, "[x,top]", "[3.g0,1.g0]", ParseError),
+    ], ids=["maxplus", "series", "interval-order-left", "interval-parse-left",
+            "interval-series-order-left", "interval-series-parse-left"])
+    def test_leftmost_of_two_bad_literals(self, semiring, left, right, error):
+        # Two new literals that fail in different ways, at mirrored
+        # positions of one row: the left one is named.
+        for k in range(3):
+            row = ["e"] * 6
+            row[k], row[5 - k] = left, right
+            text = "2 6\n" + " ".join(["top"] * 6) + "\n" + " ".join(row) + "\n"
+            with pytest.raises(error) as exc:
+                parse_matrix(text, semiring)
+            with pytest.raises(error) as want:
+                semiring.parse(left)
+            assert str(exc.value) == f"line 3, entry {k + 1}: {want.value}"
+
+    @pytest.mark.parametrize("name", sorted(LITERAL_POOLS))
+    def test_differential_against_per_token_parse(self, name):
+        semiring, pool = SEMIRINGS[name], LITERAL_POOLS[name]
+        good = [t for t in pool if _parses(semiring, t)]
+        rng = random.Random(f"memo:{name}")
+        for case in range(500):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            # Most files draw only good literals; one in three may fail.
+            draw = pool if case % 3 == 0 else good
+            lines = [" ".join(rng.choice(draw) for _ in range(cols)) for _ in range(rows)]
+            if rng.random() < 0.2:
+                lines.insert(rng.randint(0, rows), "")
+            text = f"{rows} {cols}\n" + "\n".join(lines) + "\n"
+            try:
+                want = parse_per_token(text, semiring)
+            except DioidError as exc:
+                with pytest.raises(type(exc)) as got:
+                    parse_matrix(text, semiring)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc), text
+            else:
+                assert parse_matrix(text, semiring) == want, text
+
+
+def _parses(semiring, tok) -> bool:
+    try:
+        semiring.parse(tok)
+    except DioidError:
+        return False
+    return True
