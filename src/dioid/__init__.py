@@ -23,7 +23,6 @@ from .matrices import (
     dual_identity,
     dual_power,
     dual_residual,
-    eps_matrix,
     filled,
     from_rows,
     identity,
@@ -36,9 +35,7 @@ from .matrices import (
     mat_oplus,
     mat_otimes,
     mat_wedge,
-    negate_transpose,
     right_residual,
-    top_matrix,
     wedge_closure,
 )
 from .oracle import (

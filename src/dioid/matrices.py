@@ -55,8 +55,10 @@ operations save, and for fields wider than ``_PACK_MAX_BITS`` (128) bits,
 where every field pays for the widest entry and a packed row of R costs W
 bits per entry in time and memory, however small the other entries are.
 
-Series matrices use one generic fold, which stops once its accumulator is
-absorbing (top for (+), eps for (^)).
+A series product takes each entry as one sum of products, the table's
+``otimes_sum``: one event sweep over every term, not a join per term.  The
+other series kernels use one generic fold, which stops once its accumulator
+is absorbing (top for (+), eps for (^)).
 
 Interval matrices run every kernel bound by bound, on the bound matrices
 over the base type, so interval max-plus runs the integer kernels.  The
@@ -101,7 +103,6 @@ from itertools import chain
 from operator import add, neg
 from typing import Any, Sequence
 
-from . import zmax
 from .errors import DivergenceWarning, SeriesDomainError, ShapeError
 from .zmax import EPS, TOP, ZMAX
 
@@ -164,14 +165,6 @@ def from_rows(semiring, rows: Sequence[Sequence]) -> Matrix:
 
 def filled(semiring, rows: int, cols: int, value) -> Matrix:
     return Matrix(semiring, rows, cols, (value,) * (rows * cols))
-
-
-def eps_matrix(semiring, rows: int, cols: int) -> Matrix:
-    return filled(semiring, rows, cols, semiring.eps)
-
-
-def top_matrix(semiring, rows: int, cols: int) -> Matrix:
-    return filled(semiring, rows, cols, semiring.top)
 
 
 def identity(semiring, n: int) -> Matrix:
@@ -357,7 +350,9 @@ def mat_otimes(a: Matrix, x: Matrix) -> Matrix:
         return _zmax_product(a, x, False)
     if sr.kind == "interval":
         return _by_bounds(mat_otimes, a, x)
-    return _fold(sr, _rows(a.entries, a.cols), _cols(x.entries, x.cols), sr.otimes, False)
+    # Series: each entry is one sum of products, one sweep.
+    rows, cols, sums = _rows(a.entries, a.cols), _cols(x.entries, x.cols), sr.otimes_sum
+    return Matrix(sr, a.rows, x.cols, tuple(sums(zip(u, w)) for u in rows for w in cols))
 
 
 def mat_odot(a: Matrix, x: Matrix) -> Matrix:
@@ -603,15 +598,6 @@ def _by_bounds(kernel, *mats: Matrix, meet_lower: bool = False,
     if join_upper:
         hi = mat_oplus(lo, hi)
     return interval_join(mats[0].semiring, lo, hi)
-
-
-def negate_transpose(a: Matrix) -> Matrix:
-    """Conjugate-transpose a_ij -> -a_ji with eps and top exchanged, for
-    max-plus matrices; it turns left residuation into a dual product."""
-    if a.semiring is not ZMAX:
-        raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
-    out = map(zmax.conj, chain.from_iterable(_cols(a.entries, a.cols)))
-    return Matrix(ZMAX, a.cols, a.rows, tuple(out))
 
 
 def dual_power(b: Matrix, k: int) -> Matrix:

@@ -25,21 +25,24 @@ pattern monomial need not be steps: ``0.g0.(1.g2)*+1.g1.(1.g2)*`` is worth
 0, 1, 1, 2, 2, ... and its copy ``1.g2`` only repeats the value before it.
 
 All exact operations work on a sliding window of explicit values together
-with a *proven* periodicity rank computed from the operands (crossing
-bounds for max/min, a dominance bound for a transient beside a pattern,
-shift arguments for residuals, a verified recurrence window for stars), so
-no result is ever guessed from a finite prefix.
+with a *proven* periodicity rank computed from the operands (a dominance
+rank for joins, a crossing bound for meets, shift arguments for residuals,
+a verified recurrence window for stars), so no result is ever guessed from
+a finite prefix.
 
 Every step on a window is one linear pass over Python ints.  ``values``
 sweeps the staircase steps once, transient first, then the pattern copies,
-filling constant runs: O(window + steps).  ``pattern_series`` drops each copy,
-and each transient monomial, into an event array and takes a running max; a
-product is one such sweep per distinct period (see ``s_otimes``), and a join
-of two polynomials is one ``from_monomials`` merge.  ``_reconstruct`` reads the
-steps, the minimal period and the earliest rank straight off the ints.  Two
-windows are joined or met by comparing ints on their common finite stretch,
-and a residual value is one minimum over the denominator's steps.  Eps and
-top sit only at the ends of a window, so they are located, not compared.
+filling constant runs: O(window + steps).  ``_pattern_sum`` drops every copy
+of several (pattern, period) groups, and each transient monomial, into one
+event array and takes a running max, over a window sized by the steepest
+groups alone.  A join with a periodic operand, a product, and a whole sum of
+products (a series matrix product entry, see ``_otimes_sum``) are one such
+sweep each; a join of two polynomials is one ``from_monomials`` merge.
+``_reconstruct`` reads the steps, the minimal period and the earliest rank
+straight off the ints.  Two windows are met by comparing ints on their
+common finite stretch, and a residual value is one minimum over the
+denominator's steps.  Eps and top sit only at the ends of a window, so they
+are located, not compared.
 
 Operations expect canonical operands, as every constructor function and
 operation returns them.  So a product by a monomial, or a residual by a
@@ -55,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import zmax
 from .errors import ParseError, SeriesDomainError, _check_work
@@ -355,56 +358,100 @@ def from_monomials(monos: Iterable[Monomial]) -> Series:
 def pattern_series(monos: Iterable[Monomial], period: Monomial,
                    transient: Iterable[Monomial] = ()) -> Series:
     """Canonical form of transient (+) pattern (x) period*: the transient
-    monomials once, the pattern monomials with every shifted copy."""
+    monomials once, the pattern monomials with every shifted copy.  The
+    one-group form of ``_pattern_sum``."""
     if not isinstance(period.coeff, int) or period.coeff <= 0 or period.exp <= 0:
         raise SeriesDomainError(
             f"period must have positive finite coefficient and exponent, got {period}"
         )
-    tau, nu = period.coeff, period.exp
-    fin: list[Monomial] = []
-    poly: list[Monomial] = []
-    tops: list[Monomial] = []
-    for group, ms in ((fin, monos), (poly, transient)):
-        for m in ms:
-            if m.coeff is EPS:
-                continue
-            (tops if m.coeff is TOP else group).append(m)
+    return _pattern_sum({period: list(monos)}, list(transient))
+
+
+def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Monomial],
+                 operands: tuple[Series, ...] = ()) -> Series:
+    """Canonical join of the polynomial ``transient`` and, for every
+    ``period: pattern`` of ``groups``, the series pattern (x) period*: one
+    event array over one window and one ``_reconstruct``.
+
+    The steepest groups share the period T.g(v), v the lcm of their
+    exponents; from rank0, their last pattern exponent, they are at least
+    L + k*T at rank0 + k*v, L their value at rank0.  A flatter group tf.g(nf)
+    lies below the line (d + tf*j)/nf, d the largest nf*c - tf*e over its
+    monomials: it adds nothing past rank0 + k*v once k*(T*nf - tf*v) >=
+    d + tf*(rank0 + v) - nf*L, nor the transient once k*T passes its largest
+    coefficient less L.  The window ends two periods past the largest such
+    rank, or where a ``top`` coefficient saturates the join.  A periodic
+    operand (a series joined) whose window is the result's is returned.
+    """
+    tops = [m for ms in (transient, *groups.values()) for m in ms if m.coeff is TOP]
+    poly = [m for m in transient if isinstance(m.coeff, int)]
+    # (tau, nu, finite pattern) per group
+    fin = [(r.coeff, r.exp, ms) for r, pattern in groups.items()
+           if (ms := [m for m in pattern if isinstance(m.coeff, int)])]
     if not fin:
         return from_monomials(poly + tops)
-    lo = min(m.exp for m in fin + poly)
-    rank = max(m.exp for m in fin)
-    if poly:
-        # From ``rank`` on every pattern monomial has a copy at or below the
-        # exponent, so k periods later the periodic part is at least its
-        # largest coefficient plus k*tau.  Once that passes the transient's
-        # largest coefficient, the transient adds nothing: the recurrence
-        # holds, and transient monomials past the window are dominated.
-        gap = max(m.coeff for m in poly) - max(m.coeff for m in fin)
-        if gap > 0:
-            rank += -(-gap // tau) * nu
-    _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
-    # Event array: the largest monomial or copy landing on each exponent
-    # (``floor`` where none does), then a running max; a monomial at lo
-    # starts it.
-    n = rank + 2 * nu - lo + 1
-    floor = min(m.coeff for m in fin + poly) - 1
+    monos = [m for _, _, ms in fin for m in ms] + poly
+    lo = min([m.exp for m in monos])
+    if tops:
+        # Top from the first top exponent on: the window ends there.
+        rank = min([m.exp for m in tops])
+        lo = min(lo, rank)
+        _check_work("series window", rank + 2 - lo)
+        n = rank - lo
+    else:
+        # The steepest groups share the period (tau, nu); ``rank`` starts at
+        # rank0, where each of their monomials has begun, and ``low`` is L.
+        t, e = 0, 1
+        for tf, nf, _ in fin:
+            if tf * e > t * nf:
+                t, e = tf, nf
+        steep = [(tf, nf, ms) for tf, nf, ms in fin if tf * e == t * nf]
+        nu = math.lcm(*[nf for _, nf, _ in steep])
+        tau = t * nu // e
+        rank = max([m.exp for _, _, ms in steep for m in ms])
+        low = max([m.coeff + (rank - m.exp) // nf * tf for tf, nf, ms in steep for m in ms])
+        # Past rank0 + k*nu the others add nothing: the recurrence holds, and
+        # monomials past the window are dominated.
+        k = -(-(max([m.coeff for m in poly], default=low) - low) // tau)
+        for tf, nf, ms in fin:
+            if tf * e != t * nf:
+                d = max([nf * m.coeff - tf * m.exp for m in ms])
+                k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
+        rank += max(k, 0) * nu
+        _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
+        n = rank + 2 * nu - lo + 1
+    # Event array: the largest monomial or copy at each exponent (``floor``
+    # where none is), then a running max; a monomial at lo starts it.
+    floor = min([m.coeff for m in monos]) - 1
     events = [floor] * n
-    for m in fin:
-        i, c = m.exp - lo, m.coeff
-        ev = events[i::nu]
-        events[i::nu] = [x if x >= y else y for x, y in zip(ev, range(c, c + tau * len(ev), tau))]
+    for tf, nf, ms in fin:
+        for m in ms:
+            c = m.coeff
+            for i in range(m.exp - lo, n, nf):
+                if c > events[i]:
+                    events[i] = c
+                c += tf
     for m in poly:
         i = m.exp - lo
         if i < n and m.coeff > events[i]:
             events[i] = m.coeff
-    vals = []
+    vals: list[Scalar] = []
     cur = floor
     for x in events:
         if x > cur:
             cur = x
         vals.append(cur)
-    out = _reconstruct(vals, lo, tau, nu, rank)
-    return s_oplus(out, from_monomials(tops)) if tops else out
+    if tops:
+        return _reconstruct(vals + [TOP] * 3, lo, 0, 1, rank)
+    hi = lo + n - 1
+    for s in operands:
+        # An operand of the steep slope follows (tau, nu) from ``rank`` too,
+        # so one whose window is ``vals`` is the result; its ends are read
+        # first.  A flatter one lies below the steep part from ``rank`` on.
+        if (s.period.coeff * nu == tau * s.period.exp and _min_exp(s) == lo
+                and values(s, hi, hi) == vals[-1:] and values(s, lo, hi) == vals):
+            return s
+    return _reconstruct(vals, lo, tau, nu, rank)
 
 
 def make_series(
@@ -456,20 +503,6 @@ def _settle(a: Series, b: Series, va: list[Scalar], vb: list[Scalar], vals: list
     return _reconstruct(vals, lo, tau, nu, rank)
 
 
-def _join(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
-    """Pointwise max of two windows, comparing ints directly on their common
-    finite stretch: eps is neutral and top absorbs."""
-    (ea, ta), (eb, tb) = _extent(va), _extent(vb)
-    if ea > eb:
-        va, vb, ea, eb, ta, tb = vb, va, eb, ea, tb, ta
-    t = min(ta, tb)
-    out = va[:min(eb, t)]  # eps, then a alone while b is eps
-    if eb < t:
-        out += [x if x >= y else y for x, y in zip(va[eb:t], vb[eb:t])]
-    out += [TOP] * (len(va) - t)
-    return out
-
-
 def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
     """Pointwise min of two windows: top is neutral and eps absorbs."""
     (ea, ta), (eb, tb) = _extent(va), _extent(vb)
@@ -513,18 +546,16 @@ def s_oplus(a: Series, b: Series) -> Series:
         return a
     if a.all_top or b.all_top:
         return S_TOP
+    if a == b:
+        return a
     if a.period is None and b.period is None:
         # Two polynomials, top-tailed or not: a merge of their monomials.
         return from_monomials(a.transient + b.transient)
-    lo = min(_min_exp(a), _min_exp(b))
-    ta, tb = _top_tail_exp(a), _top_tail_exp(b)
-    if ta is not None or tb is not None:
-        jt = min(x for x in (ta, tb) if x is not None)
-        va, vb = _window_values(a, b, lo, jt + 2)
-        return _settle(a, b, va, vb, _join(va, vb), lo, 0, 1, jt)
-    tau_a, tau_b, v, rank = _crossing(a, b, lo)
-    va, vb = _window_values(a, b, lo, rank + 2 * v)
-    return _settle(a, b, va, vb, _join(va, vb), lo, max(tau_a, tau_b), v, rank)
+    periodic = tuple(s for s in (a, b) if s.period is not None)
+    groups: dict[Monomial, list[Monomial]] = {}
+    for s in periodic:
+        groups.setdefault(s.period, []).extend(s.pattern)
+    return _pattern_sum(groups, a.transient + b.transient, periodic)
 
 
 def s_wedge(a: Series, b: Series) -> Series:
@@ -556,19 +587,8 @@ def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
 
 
 def s_otimes(a: Series, b: Series) -> Series:
-    """Product: sup-convolution of the two staircases.
-
-    With a = p1 (+) q1 r1* and b = p2 (+) q2 r2*, the rational identities
-    p (x) q r* = (pq) r*, r* r* = r* and r1* r2* = (r1 (+) r2)* give
-
-        a (x) b = p1p2 (+) (p1q2) r2* (+) (q1p2) r1* (+) q1q2 w,
-
-    where w = r1* when r1 == r2, and otherwise w = (r1 (+) r2)* = tw (+) qw rw*
-    splits into the polynomial q1q2 tw and the periodic (q1q2 qw) rw*.  So
-    the product is one ``pattern_series`` per distinct period, the first of
-    which also takes the polynomial, joined: one sweep and no join when the
-    periods are equal.  Two polynomials give one ``from_monomials``.
-    """
+    """Product: sup-convolution of the two staircases; the one-pair case of
+    ``_otimes_sum``, with the shifts below taken first."""
     if is_eps(a) or is_eps(b):
         return S_EPS
     if a.all_top or b.all_top:
@@ -579,33 +599,49 @@ def s_otimes(a: Series, b: Series) -> Series:
         return _shift_series(b, a.transient[0].coeff, a.transient[0].exp)
     if is_monomial(b):
         return _shift_series(a, b.transient[0].coeff, b.transient[0].exp)
+    return _otimes_sum([(a, b)])
 
-    p1, q1, r1 = a.transient, a.pattern, a.period
-    p2, q2, r2 = b.transient, b.pattern, b.period
-    poly = _poly_mul(p1, p2)
-    by_period: dict[Monomial, list[Monomial]] = {}
-    if r1 is not None and r2 is not None:
-        q12 = _poly_mul(q1, q2)
-        if r1 == r2:
-            by_period[r1] = q12
-        elif not p1 and not p2 and len(q12) == 1:
-            # (m1 r1*)(m2 r2*) = m1m2 (r1 (+) r2)*: a shift of the canonical star.
-            return _shift_series(_poly_star([r1, r2]), q12[0].coeff, q12[0].exp)
-        else:
-            w = _poly_star([r1, r2])
-            poly += _poly_mul(q12, w.transient)
-            by_period[w.period] = _poly_mul(q12, w.pattern)
-    if r2 is not None and p1:
-        by_period.setdefault(r2, []).extend(_poly_mul(p1, q2))
-    if r1 is not None and p2:
-        by_period.setdefault(r1, []).extend(_poly_mul(q1, p2))
-    if not by_period:
-        return from_monomials(poly)
-    (r, monos), *rest = by_period.items()
-    out = pattern_series(monos, r, poly)
-    for r, monos in rest:
-        out = s_oplus(out, pattern_series(monos, r))
-    return out
+
+def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
+    """Join of the products a (x) b over ``pairs``, in one ``_pattern_sum``.
+
+    With a = p1 (+) q1 r1* and b = p2 (+) q2 r2*, the rational identities
+    p (x) q r* = (pq) r*, r* r* = r* and r1* r2* = (r1 (+) r2)* give
+
+        a (x) b = p1p2 (+) (p1q2) r2* (+) (q1p2) r1* (+) q1q2 w,
+
+    where w = r1* when r1 == r2.  Otherwise, with r = t.g(n) the steeper
+    period and f the other, w = (r (+) f)* = (e (+) f (+) ... (+) f^(n-1)) r*,
+    since n copies of f never beat the copies of r at the same exponent.  So
+    every pair adds monomials to the polynomial and to one group per period,
+    and the whole sum is one sweep.  A pair with a top operand (and no eps
+    one) makes the sum top, and the pairs after it are not read.
+    """
+    poly: list[Monomial] = []
+    groups: dict[Monomial, list[Monomial]] = {}
+    for a, b in pairs:
+        if is_eps(a) or is_eps(b):
+            continue
+        if a.all_top or b.all_top:
+            return S_TOP
+        p1, q1, r1 = a.transient, a.pattern, a.period
+        p2, q2, r2 = b.transient, b.pattern, b.period
+        poly += _poly_mul(p1, p2)
+        if r1 is not None and r2 is not None:
+            q12, r, f = _poly_mul(q1, q2), r1, r2
+            if r1 != r2:
+                if r1.coeff * r2.exp < r2.coeff * r1.exp:
+                    r, f = r2, r1
+                # Copies of f that a power of r already beats add nothing.
+                q12 = _poly_mul(q12, [Monomial(0, 0)] + [
+                    Monomial(i * f.coeff, i * f.exp) for i in range(1, r.exp)
+                    if i * f.coeff > i * f.exp // r.exp * r.coeff])
+            groups.setdefault(r, []).extend(q12)
+        if r2 is not None and p1:
+            groups.setdefault(r2, []).extend(_poly_mul(p1, q2))
+        if r1 is not None and p2:
+            groups.setdefault(r1, []).extend(_poly_mul(q1, p2))
+    return _pattern_sum(groups, poly)
 
 
 def _growth_is_inf(s: Series) -> bool:
@@ -875,6 +911,7 @@ class _GammaSemiring:
     oplus = staticmethod(s_oplus)
     wedge = staticmethod(s_wedge)
     otimes = staticmethod(s_otimes)
+    otimes_sum = staticmethod(_otimes_sum)
     odot = staticmethod(mono_odot)
     lres = staticmethod(s_lres)
     dualres = staticmethod(mono_dualres)

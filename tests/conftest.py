@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import random
 
-from dioid import EPS, TOP, ZMAX, Monomial, from_rows, make_series
+from dioid import EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
+from dioid.errors import ShapeError
+from dioid.matrices import Matrix
 from dioid.series import Series
 from dioid.zmax import Scalar
 
@@ -34,6 +36,23 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, **kw):
     return from_rows(
         ZMAX, [[rand_scalar(rng, **kw) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def eps_matrix(semiring, rows: int, cols: int) -> Matrix:
+    return filled(semiring, rows, cols, semiring.eps)
+
+
+def top_matrix(semiring, rows: int, cols: int) -> Matrix:
+    return filled(semiring, rows, cols, semiring.top)
+
+
+def negate_transpose(a: Matrix) -> Matrix:
+    """Conjugate-transpose a_ij -> -a_ji with eps and top exchanged, for
+    max-plus matrices; it turns left residuation into a dual product."""
+    if a.semiring is not ZMAX:
+        raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
+    return from_rows(ZMAX, [[zmax.conj(a.at(i, j)) for i in range(a.rows)]
+                            for j in range(a.cols)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from dioid import (
     mat_oplus,
     mat_otimes,
     mat_wedge,
-    negate_transpose,
     pattern_series,
     project,
     projector_by_enumeration,
@@ -47,7 +46,8 @@ from dioid.matrices import Matrix
 from dioid.series import parse_series, sigma_inf
 from dioid.series import s_lres, s_oplus, s_otimes, s_star, s_wedge
 
-from conftest import eval_series, rand_matrix, rand_positive_series, rand_series, value_at
+from conftest import (eval_series, negate_transpose, rand_matrix, rand_positive_series,
+                      rand_series, value_at)
 
 
 def report(num: int, label: str, elapsed: float, budget: float) -> None:

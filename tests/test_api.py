@@ -10,16 +10,16 @@ PUBLIC = [
     "IntervalSemiring", "Matrix", "Monomial", "ParseError", "SEMIRINGS", "S_EPS",
     "S_ONE", "S_TOP", "Scalar", "Series", "SeriesDomainError", "ShapeError", "TOP",
     "ZMAX", "check_hypothesis", "dual_identity", "dual_power", "dual_residual",
-    "eps_matrix", "errors", "filled", "format_matrix", "from_monomials", "from_rows",
+    "errors", "filled", "format_matrix", "from_monomials", "from_rows",
     "greatest_subsolution", "identity", "interval_bounds", "interval_join",
     "interval_project", "intervals", "kleene_star", "left_residual", "make_series",
     "mat_leq", "mat_odot", "mat_oplus", "mat_otimes", "mat_wedge", "matrices",
-    "membership", "mono_dualres", "mono_odot", "negate_transpose", "oracle",
+    "membership", "mono_dualres", "mono_odot", "oracle",
     "parse_matrix", "parse_series", "pattern_series", "project", "projector",
     "projector_by_enumeration", "projector_matrix", "right_residual", "s_leq",
     "s_lres", "s_oplus", "s_otimes", "s_star", "s_wedge", "series",
     "sigma_inf", "smallest_supersolution", "star_by_powers", "textio",
-    "top_matrix", "wedge_closure", "zmax",
+    "wedge_closure", "zmax",
 ]
 
 

@@ -28,7 +28,6 @@ from dioid import (
     dual_identity,
     dual_power,
     dual_residual,
-    eps_matrix,
     from_monomials,
     from_rows,
     identity,
@@ -40,10 +39,8 @@ from dioid import (
     mat_oplus,
     mat_otimes,
     mat_wedge,
-    negate_transpose,
     right_residual,
     star_by_powers,
-    top_matrix,
     wedge_closure,
 )
 from dioid import matrices, zmax
@@ -52,7 +49,8 @@ from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_b
                             interval_join)
 from dioid.series import parse_series
 
-from conftest import rand_matrix, rand_scalar, rand_series
+from conftest import (eps_matrix, negate_transpose, rand_matrix, rand_scalar, rand_series,
+                      top_matrix)
 
 
 def series_matrix(rows):
@@ -329,6 +327,41 @@ class TestProductsAgainstLoops:
         assert peak < 2 * 10**6, peak
         assert got.entries == loop_entries(name, a, x, n, n, n)
 
+    def test_series_sums_of_products(self):
+        # Each series entry is one sum of products.  The terms of an entry
+        # carry 2 to 6 distinct periods and slopes, besides top-tailed,
+        # all-top and eps entries; the loop joins the scalar products in turn.
+        rng = random.Random("series-sums")
+        periods = [Monomial(t, n) for t, n in ((1, 1), (2, 2), (3, 2), (1, 3), (5, 4), (2, 1),
+                                               (4, 3), (7, 5), (3, 1))]
+
+        def draw(period):
+            u = rng.random()
+            if u < 0.1:
+                return S_EPS
+            if u < 0.14:
+                return S_TOP
+            if u < 0.24:
+                return rand_series(rng, periodic_bias=0, top_tail=True)
+            transient = [Monomial(rng.randint(-9, 30), rng.randint(0, 12))
+                         for _ in range(rng.randint(0, 2))]
+            pattern = [Monomial(rng.randint(-9, 9), rng.randint(0, 8))
+                       for _ in range(rng.randint(1, 3))]
+            return make_series(transient, pattern, period)
+
+        for q in range(2, 7):
+            for _ in range(25):
+                a = from_rows(GAMMA, [[draw(r) for r in rng.sample(periods, q)] for _ in range(2)])
+                x = from_rows(GAMMA, list(zip(*[[draw(r) for r in rng.sample(periods, q)]
+                                                for _ in range(2)])))
+                expected = tuple(
+                    reduce(GAMMA.oplus, (GAMMA.otimes(a.at(i, k), x.at(k, j)) for k in range(q)),
+                           S_EPS)
+                    for i in range(2)
+                    for j in range(2)
+                )
+                assert mat_otimes(a, x).entries == expected, (a, x)
+
     def test_otimes(self):
         rng = random.Random(2)
         for _ in range(50):
@@ -431,6 +464,18 @@ class TestGenericFolds:
         a = Matrix(GAMMA, 2, 1, (ramp, far))
         b = Matrix(GAMMA, 2, 1, (far, one))
         assert left_residual(a, b).entries == (S_EPS,)
+
+    def test_sum_stops_at_the_absorbing_element(self):
+        # A product term with a top factor makes the entry top, so the other
+        # term, whose window would pass the cap, is never computed; before
+        # or after the top term.
+        far = make_series([Monomial(0, 0), Monomial(1, 10**6)])
+        ramp = make_series([], [Monomial(0, 0)], Monomial(1, 1))
+        one = parse_series("0.g0")
+        with pytest.raises(DivergenceError):
+            GAMMA.otimes(ramp, far)
+        for a, b in (((S_TOP, ramp), (one, far)), ((ramp, S_TOP), (far, one))):
+            assert mat_otimes(Matrix(GAMMA, 1, 2, a), Matrix(GAMMA, 2, 1, b)).entries == (S_TOP,)
 
 
 class TestResidualGalois:

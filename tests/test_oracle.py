@@ -12,7 +12,6 @@ from dioid import (
     ZMAX,
     Grid,
     dual_residual,
-    eps_matrix,
     from_rows,
     greatest_subsolution,
     identity,
@@ -22,12 +21,11 @@ from dioid import (
     projector_by_enumeration,
     smallest_supersolution,
     star_by_powers,
-    top_matrix,
 )
 from dioid.errors import ShapeError
 from dioid.matrices import Matrix
 
-from conftest import rand_matrix
+from conftest import eps_matrix, rand_matrix, top_matrix
 
 GRID = Grid(-20, 20)
 

@@ -15,7 +15,6 @@ from dioid import (
     Interval,
     Monomial,
     check_hypothesis,
-    eps_matrix,
     from_monomials,
     from_rows,
     interval_bounds,
@@ -28,14 +27,13 @@ from dioid import (
     mat_otimes,
     membership,
     project,
-    top_matrix,
     wedge_closure,
 )
 from dioid.errors import HypothesisError, ShapeError
 from dioid.matrices import Matrix
 from dioid.series import parse_series
 
-from conftest import rand_matrix, rand_positive_series, rand_series
+from conftest import eps_matrix, rand_matrix, rand_positive_series, rand_series, top_matrix
 
 
 def series_matrix(rows):

@@ -38,7 +38,8 @@ from dioid import (
 from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.intervals import IGAMMA, Interval
-from dioid.series import Series, format_series, is_monomial, values
+from dioid.series import Series, _pattern_sum, format_series, is_monomial, values
+from dioid.zmax import TOP
 
 from conftest import (
     SERIES_KINDS,
@@ -697,6 +698,90 @@ class TestPolynomialJoin:
         assert s_oplus(g("1.g0+top.g5"), g("2.g3+top.g9")) == g("1.g0+2.g3+top.g5")
         assert s_oplus(g("1.g0+top.g300000"), g("5.g2")) == g("1.g0+5.g2+top.g300000")
         assert s_oplus(g("top.g4"), g("3.g1+9.g4")) == g("3.g1+top.g4")
+
+
+class TestOneWindowPerSum:
+    """``_pattern_sum`` joins a polynomial and several (pattern, period)
+    groups in one window: the steepest groups set the period, and each
+    flatter group only a rank past which the steep ones dominate it."""
+
+    @staticmethod
+    def group_value(groups, poly, j):
+        best = eval_monomials(poly, j)
+        for period, monos in groups.items():
+            for m in monos:
+                if m.exp <= j:
+                    best = zmax.oplus(best, m.coeff + (j - m.exp) // period.exp * period.coeff)
+        return best
+
+    def check(self, groups, poly):
+        got = _pattern_sum({r: list(ms) for r, ms in groups.items()}, poly)
+        hi = max(m.exp for ms in [poly, *groups.values()] for m in ms)
+        hi += 4 * math.lcm(*(r.exp for r in groups)) + 40
+        for j in range(-3, hi):
+            assert eval_series(got, j) == self.group_value(groups, poly, j), (groups, poly, j)
+        return got
+
+    def test_equal_slopes(self):
+        # periods 1.g1, 2.g2 and 3.g3: one slope, so the window spans their lcm
+        got = self.check({Monomial(1, 1): [Monomial(0, 4)],
+                          Monomial(2, 2): [Monomial(3, 0), Monomial(4, 1)],
+                          Monomial(3, 3): [Monomial(2, 5)]}, [])
+        assert got.period == Monomial(1, 1)
+
+    def test_different_slopes(self):
+        # the flat group 50.g0.(1.g4)* leads until the steep 0.g0.(3.g2)* passes it
+        got = self.check({Monomial(1, 4): [Monomial(50, 0)],
+                          Monomial(3, 2): [Monomial(0, 0), Monomial(1, 1)],
+                          Monomial(2, 3): [Monomial(20, 2)]}, [])
+        assert got.period == Monomial(3, 2) and got.transient
+
+    def test_transient_above_the_steep_group(self):
+        got = self.check({Monomial(2, 1): [Monomial(-5, 2)], Monomial(1, 3): [Monomial(4, 0)]},
+                         [Monomial(40, 1), Monomial(90, 30)])
+        assert got.period == Monomial(2, 1)
+
+    def test_random_groups(self):
+        rng = random.Random(140)
+        periods = [Monomial(t, n) for t, n in ((1, 1), (2, 2), (3, 2), (1, 3), (5, 4), (2, 1),
+                                               (4, 3), (7, 5))]
+        for _ in range(80):
+            groups = {r: [Monomial(rng.randint(-20, 20), rng.randint(0, 12))
+                          for _ in range(rng.randint(1, 3))]
+                      for r in rng.sample(periods, rng.randint(2, 6))}
+            poly = [Monomial(rng.randint(-20, 60), rng.randint(0, 30))
+                    for _ in range(rng.randint(0, 3))]
+            self.check(groups, poly)
+
+    def test_top_in_a_group_saturates_the_sum(self):
+        got = _pattern_sum({Monomial(1, 1): [Monomial(0, 0), Monomial(TOP, 7)],
+                            Monomial(1, 2): [Monomial(9, 3)]}, [Monomial(30, 9)])
+        assert got == g("0.g0+1.g1+2.g2+9.g3+10.g5+top.g7")
+
+
+class TestRoadmapRepros:
+    """Joins the lcm window used to refuse: one window per sum sizes them by
+    the steep operand alone."""
+
+    def test_join_of_coprime_long_periods(self):
+        a, b = g("0.g0.(1.g1009)*"), g("0.g0.(3.g1013)*")
+        start = time.perf_counter()
+        got = s_oplus(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert got == g("0.g0+1.g1009+3.g1013.(3.g1013)*")
+        for j in range(-2, 5 * 1013):
+            assert eval_series(got, j) == zmax.oplus(eval_series(a, j), eval_series(b, j)), j
+
+    def test_far_monomial_below_a_periodic_term(self):
+        start = time.perf_counter()
+        got = parse_series("0.g0.(1.g1)*+2.g300000")
+        assert time.perf_counter() - start < 1.0
+        assert got == g("0.g0.(1.g1)*")
+        # eval_series unrolls one monomial per exponent, so the far stretch
+        # is read with the closed-form value_at.
+        for j in [*range(-2, 50), *range(299990, 300010)]:
+            want = zmax.oplus(j if j >= 0 else zmax.EPS, 2 if j >= 300000 else zmax.EPS)
+            assert (eval_series if j < 50 else value_at)(got, j) == want, j
 
 
 def test_divisors_match_brute_force():
