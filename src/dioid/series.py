@@ -35,9 +35,10 @@ sweeps the staircase steps once, transient first, then the pattern copies,
 filling constant runs: O(window + steps).  ``_pattern_sum`` drops every copy
 of several (pattern, period) groups, and each transient monomial, into one
 event array and takes a running max, over a window sized by the steepest
-groups alone.  A join with a periodic operand, a product, and a whole sum of
-products (a series matrix product entry, see ``_otimes_sum``) are one such
-sweep each; a join of two polynomials is one ``from_monomials`` merge.
+groups alone.  A join with a periodic operand, a product, a whole sum of
+products (a series matrix product entry, see ``_otimes_sum``) and the terms
+of a literal are one such sweep each; a join of two polynomials is one
+``from_monomials`` merge.
 ``_reconstruct`` reads the steps, the minimal period and the earliest rank
 straight off the ints.  Two windows are met by comparing ints on their
 common finite stretch, and a residual value is one minimum over the
@@ -383,15 +384,30 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     rank, or where a ``top`` coefficient saturates the join.  A periodic
     operand (a series joined) whose window is the result's is returned.
     """
-    tops = [m for ms in (transient, *groups.values()) for m in ms if m.coeff is TOP]
-    poly = [m for m in transient if isinstance(m.coeff, int)]
-    # (tau, nu, finite pattern) per group
-    fin = [(r.coeff, r.exp, ms) for r, pattern in groups.items()
-           if (ms := [m for m in pattern if isinstance(m.coeff, int)])]
+    # One pass splits the monomials into finite and top ones, and finds lo
+    # and the least finite coefficient.
+    poly: list[Monomial] = []
+    tops: list[Monomial] = []
+    fin = []  # (tau, nu, finite pattern) per group
+    lo = floor = None
+    for r, ms in ((None, transient), *groups.items()):
+        out: list[Monomial] = []
+        for m in ms:
+            c = m.coeff
+            if c is TOP:
+                tops.append(m)
+            elif c is not EPS:
+                out.append(m)
+                if lo is None or m.exp < lo:
+                    lo = m.exp
+                if floor is None or c < floor:
+                    floor = c
+        if r is None:
+            poly = out
+        elif out:
+            fin.append((r.coeff, r.exp, out))
     if not fin:
         return from_monomials(poly + tops)
-    monos = [m for _, _, ms in fin for m in ms] + poly
-    lo = min([m.exp for m in monos])
     if tops:
         # Top from the first top exponent on: the window ends there.
         rank = min([m.exp for m in tops])
@@ -405,24 +421,39 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
         for tf, nf, _ in fin:
             if tf * e > t * nf:
                 t, e = tf, nf
-        steep = [(tf, nf, ms) for tf, nf, ms in fin if tf * e == t * nf]
-        nu = math.lcm(*[nf for _, nf, _ in steep])
+        nu, rank, flat = 1, lo, []
+        for g in fin:
+            tf, nf, ms = g
+            if tf * e == t * nf:
+                nu = math.lcm(nu, nf)
+                for m in ms:
+                    if m.exp > rank:
+                        rank = m.exp
+            else:
+                flat.append(g)
         tau = t * nu // e
-        rank = max([m.exp for _, _, ms in steep for m in ms])
-        low = max([m.coeff + (rank - m.exp) // nf * tf for tf, nf, ms in steep for m in ms])
+        low = floor
+        for tf, nf, ms in fin:
+            if tf * e == t * nf:
+                for m in ms:
+                    c = m.coeff + (rank - m.exp) // nf * tf
+                    if c > low:
+                        low = c
         # Past rank0 + k*nu the others add nothing: the recurrence holds, and
         # monomials past the window are dominated.
-        k = -(-(max([m.coeff for m in poly], default=low) - low) // tau)
-        for tf, nf, ms in fin:
-            if tf * e != t * nf:
-                d = max([nf * m.coeff - tf * m.exp for m in ms])
-                k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
-        rank += max(k, 0) * nu
+        k = 0
+        for m in poly:
+            if m.coeff > low + k * tau:
+                k = -(-(m.coeff - low) // tau)
+        for tf, nf, ms in flat:
+            d = max([nf * m.coeff - tf * m.exp for m in ms])
+            k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
+        rank += k * nu
         _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
         n = rank + 2 * nu - lo + 1
     # Event array: the largest monomial or copy at each exponent (``floor``
     # where none is), then a running max; a monomial at lo starts it.
-    floor = min([m.coeff for m in monos]) - 1
+    floor -= 1
     events = [floor] * n
     for tf, nf, ms in fin:
         for m in ms:
@@ -485,24 +516,6 @@ def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
 # Semiring operations
 # ---------------------------------------------------------------------------
 
-def _window_values(a: Series, b: Series, lo: int, hi: int) -> tuple[list[Scalar], list[Scalar]]:
-    _check_work("series window", hi - lo)
-    return values(a, lo, hi), values(b, lo, hi)
-
-
-def _settle(a: Series, b: Series, va: list[Scalar], vb: list[Scalar], vals: list[Scalar],
-            lo: int, tau: int, nu: int, rank: int) -> Series:
-    """The series with window ``vals`` whose recurrence (tau, nu) holds from
-    ``rank``.  When that window is an operand's, the operand is the result:
-    both follow the recurrence past the window, and canonical forms are
-    unique."""
-    if vals == va:
-        return a
-    if vals == vb:
-        return b
-    return _reconstruct(vals, lo, tau, nu, rank)
-
-
 def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
     """Pointwise min of two windows: top is neutral and eps absorbs."""
     (ea, ta), (eb, tb) = _extent(va), _extent(vb)
@@ -515,27 +528,6 @@ def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
     out += vb[max(e, ta):tb]  # b alone once a is top
     out += [TOP] * (len(vb) - tb)
     return out
-
-
-def _crossing(a: Series, b: Series, lo: int) -> tuple[int, int, int, int]:
-    """(tau_a, tau_b, v, rank) for two series, neither eps nor saturating:
-    their growths over the common period v, and a rank from which both
-    recurrences hold and the steeper operand stays at or above the other.
-    Past that rank a join follows the steeper operand and a meet the flatter
-    one."""
-    gta, gna, ra = _growth(a)
-    gtb, gnb, rb = _growth(b)
-    v = math.lcm(gna, gnb)
-    tau_a, tau_b = gta * (v // gna), gtb * (v // gnb)
-    r0 = max(ra, rb)
-    if tau_a == tau_b:
-        return tau_a, tau_b, v, r0
-    steep, flat = (a, b) if tau_a > tau_b else (b, a)
-    # The caller's window reaches past r0 + 2v: refuse it before allocating.
-    # Past both ranks the values are finite.
-    _check_work("series window", r0 + 2 * v - lo)
-    d = max(map(sub, values(flat, r0, r0 + v - 1), values(steep, r0, r0 + v - 1)))
-    return tau_a, tau_b, v, r0 if d <= 0 else r0 + (d // abs(tau_a - tau_b) + 1) * v
 
 
 def s_oplus(a: Series, b: Series) -> Series:
@@ -559,7 +551,9 @@ def s_oplus(a: Series, b: Series) -> Series:
 
 
 def s_wedge(a: Series, b: Series) -> Series:
-    """Greatest lower bound: pointwise min."""
+    """Greatest lower bound: pointwise min.  When the meet's window is an
+    operand's, that operand is the result: both follow the recurrence past
+    the window, and canonical forms are unique."""
     if is_eps(a) or is_eps(b):
         return S_EPS
     if a.all_top:
@@ -573,11 +567,27 @@ def s_wedge(a: Series, b: Series) -> Series:
         # saturating polynomial has growth (0, 1) from its top step.
         tau, nu, _ = _growth(b if ta is not None else a)
         rank = max(_growth(a)[2], _growth(b)[2])
-        va, vb = _window_values(a, b, lo, rank + 2 * nu)
-        return _settle(a, b, va, vb, _meet(va, vb), lo, tau, nu, rank)
-    tau_a, tau_b, v, rank = _crossing(a, b, lo)
-    va, vb = _window_values(a, b, lo, rank + 2 * v)
-    return _settle(a, b, va, vb, _meet(va, vb), lo, min(tau_a, tau_b), v, rank)
+    else:
+        # Over the common period nu, from a rank where both recurrences hold
+        # and the flatter operand stays at or below the other, the meet
+        # follows the flatter one.
+        (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
+        nu = math.lcm(gna, gnb)
+        tau_a, tau_b = gta * (nu // gna), gtb * (nu // gnb)
+        tau, rank = min(tau_a, tau_b), max(ra, rb)
+        if tau_a != tau_b:
+            steep, flat = (a, b) if tau_a > tau_b else (b, a)
+            # The window reaches past rank + 2nu: refuse it before allocating.
+            # Past both ranks the values are finite.
+            _check_work("series window", rank + 2 * nu - lo)
+            d = max(map(sub, values(flat, rank, rank + nu - 1), values(steep, rank, rank + nu - 1)))
+            if d > 0:
+                rank += (d // abs(tau_a - tau_b) + 1) * nu
+    hi = rank + 2 * nu
+    _check_work("series window", hi - lo)
+    va, vb = values(a, lo, hi), values(b, lo, hi)
+    vals = _meet(va, vb)
+    return a if vals == va else b if vals == vb else _reconstruct(vals, lo, tau, nu, rank)
 
 
 def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
@@ -610,12 +620,14 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
 
         a (x) b = p1p2 (+) (p1q2) r2* (+) (q1p2) r1* (+) q1q2 w,
 
-    where w = r1* when r1 == r2.  Otherwise, with r = t.g(n) the steeper
-    period and f the other, w = (r (+) f)* = (e (+) f (+) ... (+) f^(n-1)) r*,
-    since n copies of f never beat the copies of r at the same exponent.  So
-    every pair adds monomials to the polynomial and to one group per period,
-    and the whole sum is one sweep.  A pair with a top operand (and no eps
-    one) makes the sum top, and the pairs after it are not read.
+    where w = r1* when r1 == r2.  Otherwise, with r = T.g(N) the steeper
+    period and f = t.g(n) the other, w = (r (+) f)* = (e (+) f (+) ... (+)
+    f^(i-1)) r* for i the least d >= 1 with dt <= (dn div N)T: f^d is at
+    most r^(dn div N), so every f^j, j >= d, is at most f^(j-d) r^(dn div N),
+    and i <= N as f is not steeper.  The monomials of each pair go to the
+    polynomial and to one group per period, and the whole sum is one sweep.
+    A pair with a top operand (and no eps one) makes the sum top, and the
+    pairs after it are not read.
     """
     poly: list[Monomial] = []
     groups: dict[Monomial, list[Monomial]] = {}
@@ -632,10 +644,17 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
             if r1 != r2:
                 if r1.coeff * r2.exp < r2.coeff * r1.exp:
                     r, f = r2, r1
-                # Copies of f that a power of r already beats add nothing.
-                q12 = _poly_mul(q12, [Monomial(0, 0)] + [
-                    Monomial(i * f.coeff, i * f.exp) for i in range(1, r.exp)
-                    if i * f.coeff > i * f.exp // r.exp * r.coeff])
+                # Checked before the copies are built: the loop's N steps,
+                # the len(q12) * i monomials, and the window (i - 1)n + 2N
+                # they reach when r is the sum's steepest period.
+                (T, N), (t, n) = (r.coeff, r.exp), (f.coeff, f.exp)
+                _check_work(f"pattern with period exponent {N}", 2 * N)
+                i = 1
+                while i * t > i * n // N * T:
+                    i += 1
+                _check_work(f"pattern with period exponent {N}",
+                            max(len(q12) * i, (i - 1) * n + 2 * N))
+                q12 = _poly_mul(q12, [Monomial(j * t, j * n) for j in range(i)])
             groups.setdefault(r, []).extend(q12)
         if r2 is not None and p1:
             groups.setdefault(r2, []).extend(_poly_mul(p1, q2))
@@ -838,7 +857,6 @@ _TERM_RE = re.compile(
     r"(?:\.\((?P<pt>-?\d+)\.g(?P<pn>-?\d+)\)\*)?",
     re.ASCII,
 )
-_NAMED_TERMS = {"eps": S_EPS, "top": S_TOP, "e": S_ONE}
 
 
 def _format_coeff(c: Union[int, Extreme]) -> str:
@@ -863,40 +881,35 @@ def parse_series(text: str) -> Series:
     optional periodic suffix ``.(T.gN)*``; ``eps``, ``top`` and ``e`` are
     terms too, and whitespace around ``+`` is ignored.  No ``+`` may sit
     inside a period's parentheses, so the terms are the pieces between the
-    ``+`` signs.  Every term is matched before any is computed, so a syntax
-    error anywhere in the literal is a ``ParseError``.  The plain terms
-    (``T.gN``) before the first periodic term are summed by one
-    ``from_monomials`` call; every later term is joined in turn."""
+    ``+`` signs.  Every term is matched, and every period checked, before
+    any is computed, so a syntax or period error anywhere in the literal is
+    a ``ParseError``.  The terms are then summed by one ``_pattern_sum``: the
+    plain ones as its polynomial, the periodic ones grouped by period."""
     terms = []
     offset = 0
     for raw in text.split("+"):
         term = raw.strip()
         m = _TERM_RE.fullmatch(term)
-        if m is None and term not in _NAMED_TERMS:
+        if m is None and term not in ("eps", "top", "e"):
             raise ParseError(f"invalid series term {term!r} at offset {offset}")
         terms.append((offset, term, m))
         offset += len(raw) + 1
-    out = S_EPS
-    monos: Optional[list[Monomial]] = []  # None once a periodic term is joined
+    poly: list[Monomial] = []
+    groups: dict[Monomial, list[Monomial]] = {}
     for offset, term, m in terms:
         if m is None:
-            out = s_oplus(out, _NAMED_TERMS[term])
+            poly += [Monomial(0, 0)] if term == "e" else []
             continue
         mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))
         if m.group("pt") is None:
-            if monos is None:
-                out = s_oplus(out, from_monomials([mono]))
-            else:
-                monos.append(mono)
+            poly.append(mono)
             continue
         period = Monomial(zmax.parse_int(m.group("pt")), zmax.parse_int(m.group("pn")))
-        if monos is not None:
-            out, monos = s_oplus(out, from_monomials(monos)), None
-        try:
-            out = s_oplus(out, pattern_series([mono], period))
-        except SeriesDomainError as exc:
-            raise ParseError(f"term {term!r} at offset {offset}: {exc}") from None
-    return out if monos is None else s_oplus(out, from_monomials(monos))
+        if period.coeff <= 0 or period.exp <= 0:
+            raise ParseError(f"term {term!r} at offset {offset}: period must have positive "
+                             f"finite coefficient and exponent, got {period}")
+        groups.setdefault(period, []).append(mono)
+    return S_TOP if "top" in [term for _, term, _ in terms] else _pattern_sum(groups, poly)
 
 
 class _GammaSemiring:

@@ -9,11 +9,12 @@ brute-force oracles for the canonical-form algebra.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from dioid import EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
 from dioid.errors import ShapeError
-from dioid.matrices import Matrix
+from dioid.matrices import Matrix, _cols
 from dioid.series import Series
 from dioid.zmax import Scalar
 
@@ -51,8 +52,8 @@ def negate_transpose(a: Matrix) -> Matrix:
     max-plus matrices; it turns left residuation into a dual product."""
     if a.semiring is not ZMAX:
         raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
-    return from_rows(ZMAX, [[zmax.conj(a.at(i, j)) for i in range(a.rows)]
-                            for j in range(a.cols)])
+    out = map(zmax.conj, chain.from_iterable(_cols(a.entries, a.cols)))
+    return Matrix(ZMAX, a.cols, a.rows, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,32 @@ class TestWorkBound:
         assert time.perf_counter() - start < 1.0
 
 
+class TestCopiesOfTheFlatterPeriod:
+    """A product of patterns with periods r = T.gN steeper than f = t.gn
+    multiplies them by e, f, ..., f^(i-1), up to the first power of f that a
+    power of r beats; their number and window are checked before any copy is
+    built."""
+
+    @pytest.mark.parametrize("width,period", [(1, (300000, 100000)), (1, (130001, 130000)),
+                                              (50, (300000, 100000))])
+    def test_long_steep_period_is_refused_quickly(self, width, period):
+        a = make_series([], [Monomial(3 * k, 200 * k) for k in range(width)], Monomial(*period))
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match=f"period exponent {period[1]}"):
+            s_otimes(a, g("0.g0.(1.g1)*"))
+        assert time.perf_counter() - start < 0.5
+
+    def test_copies_stop_at_the_first_beaten_power(self):
+        # r = 10.g7, f = 4.g3: f^5 = 20.g15 is at most r^2 = 20.g14, so the
+        # copies stop at f^4; f^6 = 24.g18 is above r^2 but at most f r^2.
+        a, b = g("0.g0.(10.g7)*"), g("0.g0.(4.g3)*")
+        got = s_otimes(a, b)
+        for j in range(-2, 200):
+            want = max((10 * x + 4 * y for x in range(j // 7 + 1)
+                        for y in range((j - 7 * x) // 3 + 1)), default=zmax.EPS)
+            assert eval_series(got, j) == want, j
+
+
 class TestClosedFormProducts:
     """Products of the acceptance-criterion-4 projector, which multiplies
     series with equal periods and multi-monomial patterns."""
@@ -806,13 +832,20 @@ class TestParseCost:
         assert g("1.g2+top+0.g0.(1.g1)*") == S_TOP
 
     def test_terms_after_a_period_are_joined_in_turn(self):
-        # Summed first, these plain terms would span exponents 0..321,863 and
-        # their one join with the periodic term would pass the work cap.
+        # The plain terms span exponents 0..321,863, past the work cap; the
+        # periodic term dominates them from 181,165 on, and the one window of
+        # the literal's sum ends there.
         text = "6.g181153.(4.g6)*+12.g321863+6.g69892+e"
         expect = s_oplus(s_oplus(s_oplus(g("6.g181153.(4.g6)*"), g("12.g321863")),
                                  g("6.g69892")), S_ONE)
         assert parse_series(text) == expect
         assert IGAMMA.parse(text) == Interval(expect, expect)
+
+    def test_period_error_comes_before_any_sum(self):
+        # The join of the first two terms passes the work cap; the third
+        # term's period is checked before any term is summed.
+        with pytest.raises(ParseError, match=r"offset 35: period must have positive"):
+            parse_series("1.g0.(5.g2)*+-3.g300000.(4.g4096)*+2.g300000.(7.g0)*")
 
 
 class TestConstructorChecks:
