@@ -54,6 +54,9 @@ columns, where packing and unpacking a row cost more than the fewer integer
 operations save, and for fields wider than ``_PACK_MAX_BITS`` (128) bits,
 where every field pays for the widest entry and a packed row of R costs W
 bits per entry in time and memory, however small the other entries are.
+Both packed kernels pack and unpack through ``_pack_rows`` and
+``_unpack_rows``: fields of 1, 2, 4 or 8 bytes go through an ``array`` in C,
+wider ones through a byte string per field, joined a row at a time.
 
 A series product takes each entry as one sum of products, the table's
 ``otimes_sum``: one event sweep over every term, not a join per term.  The
@@ -92,11 +95,31 @@ to 0, the meet closure's codes are negated back, and codes above bound read
 as top, below -bound as eps.  A row that is top in every column never
 changes again and is shared and skipped.
 
+From order ``_PACK_MIN_ORDER`` (6) on, the rows are packed like the
+product's.  Every code stays in [-T, T + n*bound]: a join only raises codes,
+by at most bound per pivot, and saturation sets exactly T.  Shifted by
+off = T + bound every code, and every sum ik + v, is non-negative and at
+most 2T + (n+2)*bound; a field is the bit length of that plus a guard bit,
+rounded up to 1, 2, 4 or 8 bytes.  At pivot k, ik is field k of the row; a
+join is the product's guard-bit field-wise max of the row and
+row_k + ik * ONES; a saturating row is (row & keep) | fill, both masks read
+once per pivot off the guard bits of row_k - T * ONES (set where row k's
+code is >= -bound, that is, where it reaches); and an all-top row is one
+shared int, skipped.  The rows are chosen from bound, before anything is
+encoded.  List rows stay below order 6, where packing and unpacking cost
+more than the fewer integer operations save: on interleaved runs over
+converging stars and meet closures of small entries (one 2-vCPU x86 host,
+Python 3.11) packed rows took 1.2-1.5 times the list rows' time at n = 3-4,
+1.0-1.1 at 5, 0.9-0.96 at 6 and 0.6-0.66 at 10-12.  They also stay where a
+field would pass 64 bits, and where no entry is finite, as elimination then
+only saturates rows and never joins them.
+
 Shape mismatches raise; there is no broadcasting.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -234,12 +257,58 @@ def _cols(entries, c: int) -> list:
     return [entries[j::c] for j in range(c)]
 
 
+# Array type codes by item size in bytes, smallest first (C's unsigned char,
+# short, int and long long on every platform CPython supports; a test checks
+# them), and the byte order of their items: packed ints are little-endian,
+# field 0 lowest.  ``array`` is imported where it is used: loading it costs a
+# command-line start about 4 ms, which a command that never packs would pay.
+_ITEM_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack_rows(fields: list, count: int, size: int, off: int) -> list:
+    """``fields``, each shifted by ``off``, packed ``count`` to an int in
+    ``size``-byte fields from the lowest up; each shifted field is
+    non-negative and below 2**(8*size).  Wide fields are joined a row at a
+    time, so no byte string per field outlives its row."""
+    code = _ITEM_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(b"".join([(f + off).to_bytes(size, "little")
+                                         for f in fields[i:i + count]]), "little")
+                for i in range(0, len(fields), count)]
+    import array
+
+    items = array.array(code, [f + off for f in fields])
+    if _BIG_ENDIAN:
+        items.byteswap()
+    raw, step = items.tobytes(), count * size
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+def _unpack_rows(rows, count: int, size: int):
+    """The fields of ``_pack_rows``'s ints ``rows``, ``count`` to an int, in
+    one flat sequence."""
+    raw = b"".join([r.to_bytes(count * size, "little") for r in rows])
+    code = _ITEM_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(raw[j:j + size], "little") for j in range(0, len(raw), size)]
+    import array
+
+    items = array.array(code, raw)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
+
+
 # The packed reduction serves products with at least this many output rows
 # and columns and fields at most this many bits wide (largest finite
 # magnitude up to about 4.7 * 10^36); see the module docstring.
 _PACK_MIN_ROWS = 4
 _PACK_MIN_COLS = 16
 _PACK_MAX_BITS = 128
+# Closures of this order or more run on packed rows when a field fits in 64
+# bits; see the module docstring.
+_PACK_MIN_ORDER = 6
 
 
 def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
@@ -274,16 +343,17 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
             for w in right
         ]
     else:
-        # Rows of R.
-        rows = _cols(ex, x.cols) if conj_x else _rows(ex, x.cols)
-        out = _packed_product(left, rows, c, m, width, dual)
+        # The codes of R, row-major.
+        right = list(chain.from_iterable(_cols(ex, x.cols))) if conj_x else ex
+        out = _packed_product(left, right, c, m, width, dual)
     return Matrix(ZMAX, len(left), c, tuple(out))
 
 
-def _packed_product(left, rows, c: int, m: int, width: int, dual: bool) -> list:
-    """The entries of ``_zmax_product`` from the rows of codes of L and of R:
-    each row of R is packed into one int of ``c`` fields ``width`` bits wide,
-    and each output row is one field-wise max (min when ``dual``) over them.
+def _packed_product(left, right: list, c: int, m: int, width: int, dual: bool) -> list:
+    """The entries of ``_zmax_product`` from the rows of codes of L and the
+    codes of R, row-major: each row of R is packed into one int of ``c``
+    fields ``width`` bits wide, and each output row is one field-wise max
+    (min when ``dual``) over them, unpacked on its own.
     """
     k = 3 * m + 1
     size, gbit = width // 8, width - 1
@@ -292,10 +362,7 @@ def _packed_product(left, rows, c: int, m: int, width: int, dual: bool) -> list:
     # A field holds a sum of codes shifted by 2 * off = 6K: R's codes carry
     # both shifts, so a term adds L's code unshifted.
     zero = 6 * k
-    packed = [
-        int.from_bytes(b"".join([(v + zero).to_bytes(size, "little") for v in r]), "little")
-        for r in rows
-    ]
+    packed = _pack_rows(right, c, size, zero)
     # A term whose L code is this sentinel is eps (top for (.)) in every
     # column, which the accumulator starts with.
     skip, init = (3 * k, 2 * zero * ones) if dual else (-3 * k, 0)
@@ -311,11 +378,8 @@ def _packed_product(left, rows, c: int, m: int, width: int, dual: bool) -> list:
                 g = d & guard
                 d &= g - (g >> gbit)
                 acc = acc - d if dual else y + d
-        buf = acc.to_bytes(c * size, "little")
-        out += [
-            TOP if f > bound else EPS if f < low else f - zero
-            for f in [int.from_bytes(buf[j:j + size], "little") for j in range(0, c * size, size)]
-        ]
+        out += [TOP if f > bound else EPS if f < low else f - zero
+                for f in _unpack_rows([acc], c, size)]
     return out
 
 
@@ -453,37 +517,47 @@ def _zmax_closure(a: Matrix, dual: bool) -> tuple[Matrix, list[int]]:
     over the order dual, read as the star of conj(A) and conjugated back.
 
     Returns the same closure and saturated pivots; see the module docstring
-    for the encoding.
+    for the encoding and for the choice between list and packed rows.
     """
     n = a.rows
     fin = [v for v in a.entries if v is not EPS and v is not TOP]
     bound = n * max(map(abs, fin)) if fin else 0
     t = (n + 1) * bound + 1
     low = -bound
-    # Rows are never written in place, only replaced, so they may be tuples
-    # and every all-top row may be one shared tuple; such a row never changes
-    # again and is skipped.
-    m = _rows(_encode(a.entries, t, -t, dual), n)
-    all_top = (t,) * n
-    saturated = []
-    for k in range(n):
-        rk = m[k]
-        d = rk[k]
-        if 0 < d <= bound:
-            saturated.append(k)
-        for i, ri in enumerate(m):
-            ik = ri[k]
-            # Unchanged: rows that do not reach k, row k when its circuit
-            # weighs <= 0, and all-top rows.
-            if ik < low or (i == k and d <= 0) or ri is all_top:
-                continue
-            if d > 0 or ik > bound:
-                # Through a top entry or a positive circuit: every column that
-                # row k reaches is top.
-                m[i] = all_top if min(rk) >= low else [t if v >= low else x for x, v in zip(ri, rk)]
-            else:
-                m[i] = [x if x >= (y := ik + v) else y for x, v in zip(ri, rk)]
-    flat = list(chain.from_iterable(m))
+    # Chosen before encoding: a field holds any code plus t + bound, up to
+    # 2t + (n+2)*bound, and a guard bit.
+    size = 0
+    if fin and n >= _PACK_MIN_ORDER:
+        bits = (2 * t + (n + 2) * bound).bit_length() + 1
+        size = next((s for s in _ITEM_CODES if 8 * s >= bits), 0)
+    codes = _encode(a.entries, t, -t, dual)
+    if size:
+        flat, saturated = _packed_elimination(codes, n, t, bound, size)
+    else:
+        # Rows are never written in place, only replaced, so they may be
+        # tuples and every all-top row may be one shared tuple; such a row
+        # never changes again and is skipped.
+        m = _rows(codes, n)
+        all_top = (t,) * n
+        saturated = []
+        for k in range(n):
+            rk = m[k]
+            d = rk[k]
+            if 0 < d <= bound:
+                saturated.append(k)
+            for i, ri in enumerate(m):
+                ik = ri[k]
+                # Unchanged: rows that do not reach k, row k when its circuit
+                # weighs <= 0, and all-top rows.
+                if ik < low or (i == k and d <= 0) or ri is all_top:
+                    continue
+                if d > 0 or ik > bound:
+                    # Through a top entry or a positive circuit: every column
+                    # that row k reaches is top.
+                    m[i] = all_top if min(rk) >= low else [t if v >= low else x for x, v in zip(ri, rk)]
+                else:
+                    m[i] = [x if x >= (y := ik + v) else y for x, v in zip(ri, rk)]
+        flat = list(chain.from_iterable(m))
     for i in range(0, n * n, n + 1):
         if flat[i] < 0:
             flat[i] = 0
@@ -493,6 +567,58 @@ def _zmax_closure(a: Matrix, dual: bool) -> tuple[Matrix, list[int]]:
         flat = map(neg, flat)
     out = tuple(TOP if c > bound else EPS if c < low else c for c in flat)
     return Matrix(ZMAX, n, n, out), saturated
+
+
+def _packed_elimination(codes: list, n: int, t: int, bound: int,
+                        size: int) -> tuple[list, list[int]]:
+    """The pivot loop of ``_zmax_closure`` with each row packed into one int
+    of ``n`` fields ``size`` bytes wide, every code shifted by off = t + bound:
+    a row update is a few integer operations on whole rows.  Returns the
+    codes, row-major, and the saturated pivots."""
+    w = 8 * size
+    gbit, mask = w - 1, (1 << w) - 1
+    off = t + bound
+    ones = int.from_bytes(b"\x01".ljust(size, b"\0") * n, "little")
+    guard = ones << gbit
+    full = ones * mask
+    # The fields of codes -bound (where eps ends) and bound (where top starts).
+    low, high = t, t + 2 * bound
+    low_ones = low * ones
+    top = t + off
+    all_top = top * ones
+    m = _pack_rows(codes, n, size, off)
+    saturated = []
+    for k in range(n):
+        rk = m[k]
+        sh = k * w
+        d = (rk >> sh & mask) - off
+        if 0 < d <= bound:
+            saturated.append(k)
+        keep = None
+        for i, ri in enumerate(m):
+            if ri is all_top:
+                continue
+            f = ri >> sh & mask
+            if f < low or (i == k and d <= 0):
+                continue
+            if d > 0 or f > high:
+                if keep is None:
+                    # Guard bits of the columns row k reaches (code >= -bound):
+                    # those fields are cleared and set to top, the others kept.
+                    reach = ((rk | guard) - low_ones) & guard
+                    spans = reach == guard
+                    units = reach >> gbit
+                    keep = full ^ (reach - units)
+                    fill = units * top
+                m[i] = all_top if spans else (ri & keep) | fill
+            else:
+                # The field-wise max of row i and row k shifted by ik, as in
+                # ``_packed_product``.
+                y = rk + (f - off) * ones
+                x = (ri | guard) - y
+                g = x & guard
+                m[i] = y + (x & (g - (g >> gbit)))
+    return [f - off for f in _unpack_rows(m, n, size)], saturated
 
 
 class _OrderDual:

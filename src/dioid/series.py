@@ -58,7 +58,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import attrgetter, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from . import zmax
@@ -368,6 +368,43 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial,
     return _pattern_sum({period: list(monos)}, list(transient))
 
 
+_by_exp = attrgetter("exp")
+
+
+def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
+    """The finite pattern monomials ``ms`` of one period tau.g(nu) less those
+    another of them dominates: (c1, e1) dominates (c2, e2) when e1 <= e2 and
+    c1 + ((e2 - e1) div nu) * tau >= c2, so its copies lie on or above every
+    copy of the other.
+
+    With key c - (e div nu) * tau and r = e mod nu, (e2 - e1) div nu is
+    e2 div nu - e1 div nu, less 1 when r1 > r2, so the test is
+    key1 - (tau if r1 > r2) >= key2.  In order of exponent each monomial is
+    tested against the kept one of largest key, not against every kept one:
+    one sort, and what it drops is dominated.  A pair, the commonest group,
+    takes the test directly."""
+    if len(ms) == 2:
+        a, b = ms
+        if a.exp > b.exp:
+            a, b = b, a
+        if a.coeff + (b.exp - a.exp) // nu * tau >= b.coeff:
+            return [a]
+        return [b] if a.exp == b.exp else ms
+    ms = sorted(ms, key=_by_exp)
+    first = ms[0]
+    best, best_r = first.coeff - first.exp // nu * tau, first.exp % nu
+    kept = [first]
+    for m in ms[1:]:
+        e = m.exp
+        key, r = m.coeff - e // nu * tau, e % nu
+        if (best if best_r <= r else best - tau) >= key:
+            continue
+        kept.append(m)
+        if key > best or (key == best and r < best_r):
+            best, best_r = key, r
+    return kept
+
+
 def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Monomial],
                  operands: tuple[Series, ...] = ()) -> Series:
     """Canonical join of the polynomial ``transient`` and, for every
@@ -383,6 +420,8 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     coefficient less L.  The window ends two periods past the largest such
     rank, or where a ``top`` coefficient saturates the join.  A periodic
     operand (a series joined) whose window is the result's is returned.
+    Within each group the monomials another one dominates are dropped first
+    (``_undominated``), so they neither size the window nor cost a fill.
     """
     # One pass splits the monomials into finite and top ones, and finds lo
     # and the least finite coefficient.
@@ -405,7 +444,7 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
         if r is None:
             poly = out
         elif out:
-            fin.append((r.coeff, r.exp, out))
+            fin.append((r.coeff, r.exp, _undominated(out, r.coeff, r.exp) if len(out) > 1 else out))
     if not fin:
         return from_monomials(poly + tops)
     if tops:

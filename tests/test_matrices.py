@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from array import array
 from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import product
@@ -468,8 +469,9 @@ class TestGenericFolds:
     def test_sum_stops_at_the_absorbing_element(self):
         # A product term with a top factor makes the entry top, so the other
         # term, whose window would pass the cap, is never computed; before
-        # or after the top term.
-        far = make_series([Monomial(0, 0), Monomial(1, 10**6)])
+        # or after the top term.  The far monomial lies above the ramp's
+        # copies, so no pattern monomial of the product dominates another.
+        far = make_series([Monomial(0, 0), Monomial(2 * 10**6, 10**6)])
         ramp = make_series([], [Monomial(0, 0)], Monomial(1, 1))
         one = parse_series("0.g0")
         with pytest.raises(DivergenceError):
@@ -628,31 +630,169 @@ def _closure_rows(rng, n, idx):
     return [[rng.choice(draws)(rng) for _ in range(n)] for _ in range(n)]
 
 
-class TestClosuresAgainstElimination:
-    """The max-plus integer elimination against the generic Gauss-Jordan loop
+def _field_bits(n, m):
+    """Bits of a packed closure field for order n and largest magnitude m."""
+    bound = n * m
+    return (2 * ((n + 1) * bound + 1) + (n + 2) * bound).bit_length() + 1
+
+
+def _magnitude(n, bits):
+    """The largest magnitude whose closure fields of order n fit in ``bits``."""
+    lo, hi = 0, 2 ** bits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _field_bits(n, mid) <= bits else (lo, mid - 1)
+    return lo
+
+
+# Closure entry mixes at magnitude m: eps and top among any sign; steps
+# <= 0, whose star converges and whose meet closure saturates; steps >= 0,
+# the other way round; and rows that are top in every column among entries
+# of any sign.
+CLOSURE_MIXES = {
+    "eps-top": lambda rng, m, i: rand_scalar(rng, -m, m, 0.3, 0.1),
+    "star-converges": lambda rng, m, i: rand_scalar(rng, -m, 0, 0.5, 0.0),
+    "meet-converges": lambda rng, m, i: rand_scalar(rng, 0, m, 0.0, 0.5),
+    "all-top-rows": lambda rng, m, i: TOP if i % 3 == 1 else rand_scalar(rng, -m, m, 0.4, 0.0),
+}
+
+
+def _closure_matrix(rng, n, m, mix):
+    rows = [[CLOSURE_MIXES[mix](rng, m, i) for _ in range(n)] for i in range(n)]
+    if m:
+        # The largest magnitude, which sizes the fields, is met.
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((m, -m))
+    return from_rows(ZMAX, rows)
+
+
+def assert_closures_match_elimination(a):
+    """Both integer closures of ``a`` against the generic Gauss-Jordan loop
     over ZMAX and over its order dual: values, saturated pivots, warnings."""
+    star, star_sat = _gauss_jordan(ZMAX, a)
+    meet, meet_sat = _gauss_jordan(_OrderDual(ZMAX), a)
+    assert _zmax_closure(a, False) == (star, star_sat), a
+    assert _zmax_closure(a, True) == (meet, meet_sat), a
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert kleene_star(a) == star
+        assert wedge_closure(a) == meet
+    expected = [
+        "wedge_closure: strictly decreasing dual circuits close at pivot(s) "
+        f"{', '.join(str(k + 1) for k in meet_sat)}; the entries they reach are eps"
+    ] if meet_sat else []
+    assert [str(w.message) for w in caught] == expected, a
+    assert all(w.category is DivergenceWarning for w in caught)
+    return star_sat, meet_sat
+
+
+def spy_packed_closures(monkeypatch):
+    """Record the order of every closure that runs on packed rows."""
+    calls = []
+    packed = matrices._packed_elimination
+
+    def spy(codes, n, *args):
+        calls.append(n)
+        return packed(codes, n, *args)
+
+    monkeypatch.setattr(matrices, "_packed_elimination", spy)
+    return calls
+
+
+class TestClosuresAgainstElimination:
+    """The max-plus integer elimination, on list rows and on packed rows,
+    against the generic Gauss-Jordan loop over ZMAX and over its order dual:
+    values, saturated pivots, warnings."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_size_and_entry_pool(self, n):
         rng = random.Random(f"closures:{n}")
-        dual = _OrderDual(ZMAX)
         for idx in range(len(ENTRY_POOLS) ** 2):
             for _ in range(2):
-                a = from_rows(ZMAX, _closure_rows(rng, n, idx))
-                star, star_sat = _gauss_jordan(ZMAX, a)
-                meet, meet_sat = _gauss_jordan(dual, a)
-                assert _zmax_closure(a, False) == (star, star_sat), a
-                assert _zmax_closure(a, True) == (meet, meet_sat), a
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    assert kleene_star(a) == star
-                    assert wedge_closure(a) == meet
-                expected = [
-                    "wedge_closure: strictly decreasing dual circuits close at pivot(s) "
-                    f"{', '.join(str(k + 1) for k in meet_sat)}; the entries they reach are eps"
-                ] if meet_sat else []
-                assert [str(w.message) for w in caught] == expected, a
-                assert all(w.category is DivergenceWarning for w in caught)
+                assert_closures_match_elimination(from_rows(ZMAX, _closure_rows(rng, n, idx)))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 10, 16, 24])
+    def test_packed_rows_at_every_field_width(self, n):
+        # Orders on both sides of the crossover, magnitudes that put the
+        # fields at 8 (all finite entries 0), 16, 32 and 64 bits and just
+        # past 64, under every entry mix; saturated pivots are met on both
+        # closures.
+        rng = random.Random(f"packed-closures:{n}")
+        m64 = _magnitude(n, 64)
+        mags = (0, _magnitude(n, 16), _magnitude(n, 32), m64, m64 + 1)
+        assert [_field_bits(n, m) for m in mags[3:]] == [64, 65]
+        draws = 2 if n < 16 else 1
+        saturated = [0, 0]
+        for m, mix, _ in product(mags, CLOSURE_MIXES, range(draws)):
+            star_sat, meet_sat = assert_closures_match_elimination(_closure_matrix(rng, n, m, mix))
+            saturated[0] += bool(star_sat)
+            saturated[1] += bool(meet_sat)
+        assert all(saturated), saturated
+
+    @pytest.mark.parametrize("n", [5, 6, 24])
+    def test_ring_closes_at_the_bound(self, n):
+        # One circuit through every node, each step of weight w: it closes at
+        # the last pivot with weight n*w, exactly the bound when |w| = m, on
+        # either side of the crossover.  With w > 0 and eps elsewhere the
+        # star saturates there; with w < 0 and top elsewhere the meet closure.
+        for m in (1, 7, _magnitude(n, 32)):
+            for w, other, side in ((m, EPS, 0), (-m, TOP, 1)):
+                a = Matrix(ZMAX, n, n, tuple(
+                    w if j == (i + 1) % n else other for i in range(n) for j in range(n)))
+                assert assert_closures_match_elimination(a)[side] == [n - 1]
+
+    def test_both_sides_of_the_packed_closure_selection(self, monkeypatch):
+        # Packed rows run from order _PACK_MIN_ORDER on, when some entry is
+        # finite and a field fits in 64 bits; list rows run below that order,
+        # past 64 bits and on matrices of eps and top alone.
+        calls = spy_packed_closures(monkeypatch)
+        cross = matrices._PACK_MIN_ORDER
+        assert cross == 6
+        rng = random.Random("packed-closure-selection")
+        for n in (1, cross - 1, cross, cross + 1, 24):
+            m64 = _magnitude(n, 64)
+            for m, mix in product((0, 9, m64, m64 + 1), CLOSURE_MIXES):
+                a = _closure_matrix(rng, n, m, mix)
+                before = len(calls)
+                assert_closures_match_elimination(a)
+                packed = len(calls) - before
+                # Each of the two closures is asked twice.
+                assert packed == (4 if n >= cross and m <= m64 else 0), (n, m, mix)
+            pure = from_rows(ZMAX, [[rng.choice((EPS, TOP)) for _ in range(n)] for _ in range(n)])
+            before = len(calls)
+            assert_closures_match_elimination(pure)
+            assert len(calls) == before
+        assert set(calls) == {cross, cross + 1, 24}
+
+
+class TestPackedRows:
+    """``_pack_rows`` and ``_unpack_rows``, the packing both packed kernels
+    share: one int per row, fields from the lowest up."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_round_trip(self, size, swap, monkeypatch):
+        # Array item sizes and two that take the byte-string path; with
+        # ``swap`` the module's byte order is flipped, so the branch that
+        # byteswaps the array items runs on either kind of host.
+        if swap:
+            monkeypatch.setattr(matrices, "_BIG_ENDIAN", not matrices._BIG_ENDIAN)
+        assert {size: array(code).itemsize for size, code in matrices._ITEM_CODES.items()} == {
+            1: 1, 2: 2, 4: 4, 8: 8}
+        rng = random.Random(f"pack:{size}")
+        top = 2 ** (8 * size) - 1
+        for count, rows in ((1, 1), (3, 5), (17, 2)):
+            off = rng.randint(0, 99)
+            fields = [rng.choice((-off, top - off, rng.randint(-off, top - off)))
+                      for _ in range(count * rows)]
+            packed = matrices._pack_rows(fields, count, size, off)
+            assert len(packed) == rows
+            assert list(matrices._unpack_rows(packed, count, size)) == [f + off for f in fields]
+            if not swap:
+                w = 8 * size
+                assert packed == [
+                    sum(f + off << w * j for j, f in enumerate(fields[r * count:(r + 1) * count]))
+                    for r in range(rows)
+                ]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from dioid import (
 from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.intervals import IGAMMA, Interval
-from dioid.series import Series, _pattern_sum, format_series, is_monomial, values
+from dioid.series import (Series, _pattern_sum, _undominated, format_series, is_monomial,
+                          values)
 from dioid.zmax import TOP
 
 from conftest import (
@@ -783,6 +784,72 @@ class TestOneWindowPerSum:
         got = _pattern_sum({Monomial(1, 1): [Monomial(0, 0), Monomial(TOP, 7)],
                             Monomial(1, 2): [Monomial(9, 3)]}, [Monomial(30, 9)])
         assert got == g("0.g0+1.g1+2.g2+9.g3+10.g5+top.g7")
+
+
+class TestDominatedPatternMonomials:
+    """``_pattern_sum`` drops the pattern monomials that another of the same
+    period dominates before it sizes its window, so a far dominated one
+    neither widens the window nor costs a fill."""
+
+    @staticmethod
+    def dominates(a, b, period):
+        return a.exp <= b.exp and a.coeff + (b.exp - a.exp) // period.exp * period.coeff >= b.coeff
+
+    def test_dropped_monomials_are_dominated_by_kept_ones(self):
+        rng = random.Random(151)
+        for _ in range(400):
+            period = Monomial(rng.randint(1, 6), rng.randint(1, 5))
+            ms = [Monomial(rng.randint(-15, 15), rng.randint(-4, 25))
+                  for _ in range(rng.choice((2, 2, rng.randint(3, 12))))]
+            kept = _undominated(ms, period.coeff, period.exp)
+            assert set(kept) <= set(ms)
+            if len(ms) == 2:
+                # A pair is tested directly: one is kept exactly when one
+                # dominates the other.
+                a, b = ms
+                assert (len(kept) == 1) == (self.dominates(a, b, period)
+                                            or self.dominates(b, a, period)), (ms, period)
+            for m in ms:
+                assert m in kept or any(k != m and self.dominates(k, m, period) for k in kept), (
+                    ms, period, m)
+
+    def test_residue_decides_domination(self):
+        # 0.g3 is not below 4.g5 over period 5.g4: its copy 5.g7 comes after
+        # 4.g5.  Keys alone (0 and -1) would drop 4.g5.
+        ms = [Monomial(0, 3), Monomial(4, 5)]
+        assert _undominated(ms, 5, 4) == ms
+        assert _undominated([Monomial(0, 3), Monomial(4, 7)], 5, 4) == [Monomial(0, 3)]
+
+    def test_groups_with_many_dominated_monomials(self):
+        # Up to 12 monomials per group, many far and dominated, against the
+        # group-by-group oracle of TestOneWindowPerSum.
+        rng = random.Random(152)
+        periods = [Monomial(t, n) for t, n in ((1, 1), (2, 2), (3, 2), (1, 3), (5, 4), (2, 1))]
+        for _ in range(40):
+            groups = {r: [Monomial(rng.randint(-20, 20), rng.choice((rng.randint(0, 12),
+                                                                     rng.randint(40, 120))))
+                          for _ in range(rng.randint(1, 12))]
+                      for r in rng.sample(periods, rng.randint(1, 4))}
+            poly = [Monomial(rng.randint(-20, 60), rng.randint(0, 30))
+                    for _ in range(rng.randint(0, 3))]
+            TestOneWindowPerSum().check(groups, poly)
+
+    def test_far_dominated_product_term(self):
+        # The group monomial 1.g300000 of this product lies below the copies
+        # of 0.g0; it used to size a window of 300,002.
+        start = time.perf_counter()
+        got = s_otimes(g("0.g0+1.g300000"), g("0.g0.(1.g1)*"))
+        assert time.perf_counter() - start < 1.0
+        assert got == g("0.g0.(1.g1)*")
+
+    def test_many_dominated_periodic_terms(self):
+        # 1,000 terms of one period, each below the copies of 0.g0.(1.g1)*:
+        # one kept monomial and a window of a few exponents.
+        text = "+".join(f"{i}.g{100 * i}.(1.g1)*" for i in range(1000))
+        start = time.perf_counter()
+        got = parse_series(text)
+        assert time.perf_counter() - start < 1.0
+        assert got == g("0.g0.(1.g1)*")
 
 
 class TestRoadmapRepros:
