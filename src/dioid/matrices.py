@@ -56,7 +56,8 @@ where every field pays for the widest entry and a packed row of R costs W
 bits per entry in time and memory, however small the other entries are.
 Both packed kernels pack and unpack through ``_pack_rows`` and
 ``_unpack_rows``: fields of 1, 2, 4 or 8 bytes go through an ``array`` in C,
-wider ones through a byte string per field, joined a row at a time.
+filled ``_PACK_BLOCK`` shifted fields at a time, wider ones through a byte
+string per field, joined a row at a time.
 
 A series product takes each entry as one sum of products, the table's
 ``otimes_sum``: one event sweep over every term, not a join per term.  The
@@ -264,6 +265,7 @@ def _cols(entries, c: int) -> list:
 # command-line start about 4 ms, which a command that never packs would pay.
 _ITEM_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BIG_ENDIAN = sys.byteorder == "big"
+_PACK_BLOCK = 4096  # fields shifted at a time by _pack_rows
 
 
 def _pack_rows(fields: list, count: int, size: int, off: int) -> list:
@@ -278,7 +280,11 @@ def _pack_rows(fields: list, count: int, size: int, off: int) -> list:
                 for i in range(0, len(fields), count)]
     import array
 
-    items = array.array(code, [f + off for f in fields])
+    # Shifted a block at a time, so that no list of every shifted field is
+    # held: a shifted code is a new int object, 36 bytes with its pointer.
+    items = array.array(code)
+    for i in range(0, len(fields), _PACK_BLOCK):
+        items.fromlist([f + off for f in fields[i:i + _PACK_BLOCK]])
     if _BIG_ENDIAN:
         items.byteswap()
     raw, step = items.tobytes(), count * size

@@ -381,8 +381,10 @@ def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
     e2 div nu - e1 div nu, less 1 when r1 > r2, so the test is
     key1 - (tau if r1 > r2) >= key2.  In order of exponent each monomial is
     tested against the kept one of largest key, not against every kept one:
-    one sort, and what it drops is dominated.  A pair, the commonest group,
-    takes the test directly."""
+    one sort, and what it drops is dominated.  A pair takes the test
+    directly, which is exact and skips the sort: pairs are 69% of the groups
+    of two or more in the series-algebra benchmark's sums (31% in
+    projector-closures'), and those sums ran 5-8% slower with pairs sorted."""
     if len(ms) == 2:
         a, b = ms
         if a.exp > b.exp:

@@ -780,7 +780,9 @@ class TestPackedRows:
             1: 1, 2: 2, 4: 4, 8: 8}
         rng = random.Random(f"pack:{size}")
         top = 2 ** (8 * size) - 1
-        for count, rows in ((1, 1), (3, 5), (17, 2)):
+        # The last shape spans three of ``_pack_rows``'s blocks, whose edges
+        # fall inside rows.
+        for count, rows in ((1, 1), (3, 5), (17, 2), (37, 2 * matrices._PACK_BLOCK // 37 + 1)):
             off = rng.randint(0, 99)
             fields = [rng.choice((-off, top - off, rng.randint(-off, top - off)))
                       for _ in range(count * rows)]
