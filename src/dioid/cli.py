@@ -21,26 +21,17 @@ import argparse
 import functools
 import sys
 import warnings
-from fractions import Fraction
 
 from .errors import DioidError, ParseError
 from .matrices import Matrix, kleene_star, left_residual, mat_odot, mat_otimes
 from .matrices import dual_residual, right_residual, wedge_closure
-from .oracle import (
-    Grid,
-    greatest_subsolution,
-    projector_by_enumeration,
-    smallest_supersolution,
-    star_by_powers,
-)
-from .projector import project
 from .series import GAMMA, sigma_inf
 from .textio import SEMIRINGS, format_matrix, parse_matrix
 from .zmax import ZMAX
 
-# Subcommand -> (kernel, arity, help).  Kernels are named and looked up in
-# this module when they run, so a wrapper bound over the module's names (the
-# benchmark's tracer) sees the calls.
+# Subcommand -> (kernel, arity, help).  Kernels are looked up when they run,
+# ``project`` in ``projector``, which loads only then; so a wrapper bound over
+# the modules' names (the benchmark's tracer) sees the calls.
 _OPS = {
     "prod": ("mat_otimes", 2, "product A (x) B"),
     "dualprod": ("mat_odot", 2, "dual product A (.) B"),
@@ -70,6 +61,9 @@ def _load(path: str, semiring) -> Matrix:
 
 
 def _run(op: str, mats: list[Matrix]) -> Matrix:
+    if op == "project":
+        from . import projector
+        return projector.project(*mats)
     return globals()[_OPS[op][0]](*mats)
 
 
@@ -81,19 +75,20 @@ def _format(m: Matrix, header: bool) -> str:
                          "interpreter converts (PYTHONINTMAXSTRDIGITS sets the limit)") from None
 
 
-def _verify(op: str, mats: list[Matrix], grid: Grid) -> str:
-    """Run ``op`` and compare its result with the matching brute-force oracle."""
+def _verify(op: str, mats: list[Matrix], grid) -> str:
+    """Run ``op`` and compare its result with its brute-force oracle on ``grid``."""
+    from . import oracle
     got = _run(op, mats)
     if op == "lres":
-        expect = greatest_subsolution(mats[0], mats[1], grid)
+        expect = oracle.greatest_subsolution(mats[0], mats[1], grid)
         got = Matrix(ZMAX, got.rows, got.cols, tuple(map(grid.clamp_down, got.entries)))
     elif op == "dualres":
-        expect = smallest_supersolution(mats[0], mats[1], grid)
+        expect = oracle.smallest_supersolution(mats[0], mats[1], grid)
         got = Matrix(ZMAX, got.rows, got.cols, tuple(map(grid.clamp_up, got.entries)))
     elif op == "star":
-        expect = star_by_powers(mats[0])
+        expect = oracle.star_by_powers(mats[0])
     else:
-        expect = projector_by_enumeration(mats[0], mats[1], mats[2], grid)
+        expect = oracle.projector_by_enumeration(mats[0], mats[1], mats[2], grid)
     if expect != got:
         raise DioidError(
             f"oracle disagrees for {op}:\noracle:\n{_format(expect, True)}"
@@ -107,7 +102,7 @@ def _format_slope(value) -> str:
         return "+inf"
     if value == float("-inf"):
         return "-inf"
-    return str(Fraction(value))
+    return str(value)  # a Fraction: "1/18", or "3" for a whole slope
 
 
 def _cmd_slope(m: Matrix) -> str:
@@ -177,6 +172,7 @@ def _command(args: argparse.Namespace) -> str:
             raise DioidError(f"verify {op}: expected {arity} matrices")
         if semiring is not ZMAX:
             raise DioidError("verification is available for --type maxplus only")
+        from .oracle import Grid
         try:
             grid = Grid(args.grid_lo, args.grid_hi)
         except ValueError as exc:

@@ -13,20 +13,29 @@ Constructors reject unordered bounds; the operations never produce them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from .errors import IntervalOrderError, ParseError
 from .series import GAMMA
-from .zmax import ZMAX
+from .zmax import ZMAX, Frozen
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed interval [lo, hi] over some base semiring."""
 
-    lo: Any
-    hi: Any
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi) -> None:
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __eq__(self, other):
+        return (self.lo == other.lo and self.hi == other.hi
+                if other.__class__ is Interval else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__
 
 
 class IntervalSemiring:
@@ -43,6 +52,9 @@ class IntervalSemiring:
 
     def __repr__(self) -> str:
         return f"IntervalSemiring({self.base!r})"
+
+    def __reduce__(self) -> str:
+        return "IZMAX" if self.base is ZMAX else "IGAMMA"  # pickled by name, as ZMAX is
 
     # -- construction -------------------------------------------------
 

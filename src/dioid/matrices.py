@@ -122,23 +122,18 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from operator import add, neg
-from typing import Any, Sequence
+from typing import Sequence
 
 from .errors import DivergenceWarning, SeriesDomainError, ShapeError
-from .zmax import EPS, TOP, ZMAX
+from .zmax import EPS, TOP, ZMAX, Frozen
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense rectangular matrix in row-major order."""
 
-    semiring: Any
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("semiring", "rows", "cols", "entries")
 
     def __init__(self, semiring, rows: int, cols: int, entries: tuple) -> None:
         if rows <= 0 or cols <= 0:
@@ -154,6 +149,14 @@ class Matrix:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_entries(self, entries)
+
+    def __eq__(self, other):
+        return (self.semiring is other.semiring and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries
+                if other.__class__ is Matrix else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.semiring, self.rows, self.cols, self.entries))
 
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]

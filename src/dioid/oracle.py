@@ -15,7 +15,6 @@ matrix kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import zmax
@@ -34,19 +33,26 @@ from .matrices import (
     wedge_closure,
 )
 from .projector import _refused_entry, check_hypothesis
-from .zmax import EPS, TOP, Scalar, ZMAX
+from .zmax import EPS, TOP, Frozen, Scalar, ZMAX
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Finite scalar grid: eps, the integers of [lo, hi], and top."""
 
-    lo: int = -20
-    hi: int = 20
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"grid bounds out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int = -20, hi: int = 20) -> None:
+        if lo > hi:
+            raise ValueError(f"grid bounds out of order: [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __eq__(self, other):
+        return (self.lo == other.lo and self.hi == other.hi
+                if other.__class__ is Grid else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     def size(self) -> int:
         """The number of grid elements, eps and top included."""
@@ -70,6 +76,9 @@ class Grid:
         if v is TOP or v > self.hi:
             return TOP
         return max(v, self.lo)
+
+
+_set_lo, _set_hi = Grid.lo.__set__, Grid.hi.__set__
 
 
 def _require_zmax(m: Matrix, what: str) -> None:

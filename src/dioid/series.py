@@ -56,26 +56,35 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import zmax
 from .errors import ParseError, SeriesDomainError, _check_work
-from .zmax import EPS, TOP, Extreme, Scalar
+from .zmax import EPS, TOP, Extreme, Frozen, Scalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Frozen):
     """Generator t*gamma^n: worth ``coeff`` at every exponent >= ``exp``."""
 
-    coeff: Union[int, Extreme]
-    exp: int
+    __slots__ = ("coeff", "exp")
+
+    def __init__(self, coeff: Union[int, Extreme], exp: int) -> None:
+        _set_coeff(self, coeff)
+        _set_exp(self, exp)
+
+    def __eq__(self, other):
+        return (self.coeff == other.coeff and self.exp == other.exp
+                if other.__class__ is Monomial else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.exp))
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Frozen):
     """Canonical ultimately-periodic non-decreasing series.
 
     The constructor checks the shape every operation relies on and raises
@@ -85,14 +94,15 @@ class Series:
     positive coefficient and exponent whose pattern fits in one period.
     """
 
-    transient: tuple[Monomial, ...]
-    pattern: tuple[Monomial, ...]
-    period: Optional[Monomial]
-    all_top: bool = False
+    __slots__ = ("transient", "pattern", "period", "all_top")
 
-    def __post_init__(self) -> None:
-        transient, pattern, period = self.transient, self.pattern, self.period
-        if self.all_top:
+    def __init__(self, transient: tuple[Monomial, ...], pattern: tuple[Monomial, ...],
+                 period: Optional[Monomial], all_top: bool = False) -> None:
+        _set_transient(self, transient)
+        _set_pattern(self, pattern)
+        _set_period(self, period)
+        _set_all_top(self, all_top)
+        if all_top:
             if transient or pattern or period is not None:
                 raise SeriesDomainError("the all-top series has no monomials")
             return
@@ -124,9 +134,21 @@ class Series:
         if prev_e >= pattern[0].exp + nu:
             raise SeriesDomainError("the pattern must fit in one period")
 
+    def __eq__(self, other):
+        return (self.transient == other.transient and self.pattern == other.pattern
+                and self.period == other.period and self.all_top == other.all_top
+                if other.__class__ is Series else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.transient, self.pattern, self.period, self.all_top))
+
     def __repr__(self) -> str:
         return f"Series({format_series(self)!r})"
 
+
+_set_coeff, _set_exp = Monomial.coeff.__set__, Monomial.exp.__set__
+_set_transient, _set_pattern = Series.transient.__set__, Series.pattern.__set__
+_set_period, _set_all_top = Series.period.__set__, Series.all_top.__set__
 
 S_EPS = Series((), (), None)
 S_TOP = Series((), (), None, all_top=True)
@@ -882,6 +904,7 @@ def sigma_inf(s: Series) -> Union[Fraction, float]:
         return -math.inf
     if s.period is None:
         return math.inf
+    from fractions import Fraction  # imported here only: a launch need not load it
     return Fraction(s.period.exp, s.period.coeff)
 
 
@@ -982,6 +1005,9 @@ class _GammaSemiring:
 
     def __repr__(self) -> str:
         return "GAMMA"
+
+    def __reduce__(self) -> str:
+        return "GAMMA"  # pickled by name, as ZMAX is
 
 
 GAMMA = _GammaSemiring()

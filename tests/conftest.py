@@ -8,8 +8,12 @@ brute-force oracles for the canonical-form algebra.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 
 from dioid import EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
@@ -17,6 +21,15 @@ from dioid.errors import ShapeError
 from dioid.matrices import Matrix, _cols
 from dioid.series import Series
 from dioid.zmax import Scalar
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this checkout's ``dioid``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
 
 # ---------------------------------------------------------------------------
 # max-plus randomness

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 import dioid
+from conftest import run_python
 
 PUBLIC = [
     "DioidError", "DivergenceError", "DivergenceWarning", "EPS", "GAMMA", "Grid",
@@ -29,3 +32,35 @@ def test_public_names_are_pinned():
 
 def test_interval_cross_check_lives_in_the_oracle():
     assert dioid.interval_project.__module__ == "dioid.oracle"
+
+
+def test_every_public_name_resolves():
+    for name in dioid.__all__:
+        assert getattr(dioid, name) is not None
+    assert dioid.Grid is dioid.oracle.Grid and dioid.project is dioid.projector.project
+    assert set(dioid.__all__) <= set(dir(dioid))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from dioid import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(dioid, "no_such_name")
+    assert not hasattr(dioid, "Fraction") and not hasattr(dioid, "_no_such_name")
+
+
+def test_oracle_and_projector_load_on_first_use():
+    run = run_python(
+        "-c",
+        "import sys, dioid\n"
+        "print('dioid.oracle' in sys.modules, 'dioid.projector' in sys.modules)\n"
+        "assert {'Grid', 'project', 'oracle', 'projector'} <= set(dir(dioid))\n"
+        "grid = dioid.Grid(-1, 1)\n"
+        "print('dioid.oracle' in sys.modules, dioid.Grid is sys.modules['dioid.oracle'].Grid)\n"
+        "print(dioid.project is sys.modules['dioid.projector'].project)\n"
+    )
+    assert run.stdout.split() == ["False", "False", "True", "True", "True"], run.stderr

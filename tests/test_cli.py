@@ -10,6 +10,8 @@ import pytest
 from dioid.cli import main
 from dioid.errors import DivergenceWarning
 
+from conftest import run_python
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -336,3 +338,47 @@ class TestInProcessSequence:
         a = write("a.mat", "2 3\n1 top 3\n4 eps 6\n")
         assert main(["prod", a, b]) == 0
         assert capsys.readouterr() == ("top\n16\n", "")
+
+
+# Runs ``python -m dioid.cli ARGS`` through runpy, as ``-m`` does, and prints
+# the names in sys.modules as the interpreter exits.
+LAUNCH = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('modules:', *sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('dioid.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def launch(*argv: str) -> tuple[int, str, set[str]]:
+    """Exit status, stdout and the modules loaded at exit of one CLI launch."""
+    run = run_python("-c", LAUNCH, *argv)
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith("modules: "), run.stderr
+    return run.returncode, run.stdout, set(last.split()[1:])
+
+
+class TestLaunch:
+    NEVER_FOR_PROD = {"dioid.oracle", "dioid.projector", "dataclasses", "inspect", "fractions"}
+
+    def test_prod_loads_neither_the_oracle_nor_dataclasses(self, workdir):
+        _, write = workdir
+        a = write("a.mat", "2 2\n1 2\n3 4\n")
+        code, out, modules = launch("prod", a, a)
+        assert (code, out) == (0, "5 6\n7 8\n")
+        assert {"dioid.matrices", "dioid.series", "dioid.textio"} <= modules
+        assert not modules & self.NEVER_FOR_PROD
+
+    def test_verify_project_and_slope_load_what_they_use(self, workdir):
+        _, write = workdir
+        a = write("a.mat", "2 2\neps 1\n-2 eps\n")
+        b = write("b.mat", "2 2\ntop 3\n2 top\n")
+        x = write("x.mat", "2 2\n1 2\n3 eps\n")
+        code, out, modules = launch("verify", "lres", a, b)
+        assert (code, out) == (0, "verify lres: oracle agrees\n")
+        assert "dioid.oracle" in modules
+        code, out, modules = launch("project", a, b, x)
+        assert code == 0 and len(out.splitlines()) == 2
+        assert "dioid.projector" in modules and "dioid.oracle" not in modules
+        s = write("s.mat", "2 1\n7.g4.(18.g1)*\n3.g1\n")
+        code, out, modules = launch("slope", s, "--type", "series")
+        assert (code, out) == (0, "1/18\n+inf\n") and "fractions" in modules

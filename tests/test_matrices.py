@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 import tracemalloc
 import warnings
 from array import array
-from dataclasses import FrozenInstanceError
 from functools import reduce
 from itertools import product
 
@@ -22,6 +23,8 @@ from dioid import (
     ZMAX,
     DivergenceError,
     DivergenceWarning,
+    Grid,
+    Interval,
     Matrix,
     Monomial,
     S_EPS,
@@ -110,15 +113,54 @@ class TestElementwise:
         assert not mat_leq(m, from_rows(ZMAX, [[0]]))
 
     def test_frozen_with_value_semantics(self):
-        m = from_rows(ZMAX, [[1, EPS], [TOP, 2]])
-        twin = from_rows(ZMAX, [[1, EPS], [TOP, 2]])
-        assert m == twin and hash(m) == hash(twin)
-        assert m != from_rows(ZMAX, [[1, EPS, TOP, 2]])
-        assert repr(m) == "Matrix(2x2: 1 eps; top 2)"
-        for name, value in (("entries", ()), ("rows", 4), ("semiring", GAMMA)):
-            with pytest.raises(FrozenInstanceError):
-                setattr(m, name, value)
-        assert m.entries == (1, EPS, TOP, 2) and not hasattr(m, "__dict__")
+        # Each class: a value made twice by separate calls, a value that
+        # differs in a field, and the pinned repr.
+        values = [
+            (lambda: from_rows(ZMAX, [[1, EPS], [TOP, 2]]),
+             from_rows(ZMAX, [[1, EPS, TOP, 2]]), "Matrix(2x2: 1 eps; top 2)"),
+            (lambda: Monomial(TOP, 3), Monomial(TOP, 4), "Monomial(coeff=top, exp=3)"),
+            (lambda: parse_series("1.g0+4.g2.(3.g1)*"), parse_series("1.g0+4.g2"),
+             "Series('1.g0+4.g2.(3.g1)*')"),
+            (lambda: Interval(parse_series("1.g0"), S_TOP), Interval(S_EPS, S_TOP),
+             "Interval(lo=Series('1.g0'), hi=Series('top'))"),
+            (lambda: Grid(-3, 5), Grid(-3, 6), "Grid(lo=-3, hi=5)"),
+        ]
+        for make, other, text in values:
+            value, twin = make(), make()
+            assert value is not twin and value == twin and hash(value) == hash(twin)
+            assert value != other and not value == other
+            assert repr(value) == text and not hasattr(value, "__dict__")
+            for name in type(value).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(other, name))
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+            assert value == twin and repr(value) == text
+            for clone in (copy.copy(value), copy.deepcopy(value),
+                          pickle.loads(pickle.dumps(value))):
+                assert clone == value and hash(clone) == hash(value) and repr(clone) == text
+        assert Interval(1, 2) != Monomial(1, 2) and Monomial(1, 2) != Interval(1, 2)
+        assert Grid(1, 2) != Interval(1, 2) and Grid() == Grid(-20, 20)
+
+    @pytest.mark.parametrize("semiring,rows", [
+        (ZMAX, [["1", "eps"], ["top", "-2"]]),
+        (GAMMA, [["1.g0+4.g2.(3.g1)*", "eps"], ["2.g1", "top"]]),
+        (IZMAX, [["[1,2]", "eps"], ["3", "[eps,top]"]]),
+        (IGAMMA, [["[1.g0,2.g0.(1.g1)*]", "eps"], ["e", "[e,top]"]]),
+    ], ids=["maxplus", "series", "interval-maxplus", "interval-series"])
+    def test_copies_keep_the_semiring_table(self, semiring, rows):
+        # Matrices compare their tables with ``is``; a copy must keep them.
+        m = from_rows(semiring, [[semiring.parse(t) for t in r] for r in rows])
+        assert copy.copy(semiring) is semiring and copy.deepcopy(semiring) is semiring
+        assert pickle.loads(pickle.dumps(semiring)) is semiring
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and clone.semiring is semiring
+            assert mat_otimes(clone, m) == mat_otimes(m, m) == mat_otimes(m, clone)
+            assert mat_oplus(m, clone) == m and mat_leq(clone, m)
+        if semiring is ZMAX:
+            assert star_by_powers(copy.deepcopy(m)) == kleene_star(m)
 
     def test_shape_errors(self):
         a = rand_matrix(random.Random(0), 2, 3)

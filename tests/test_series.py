@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +44,7 @@ from conftest import (
     eval_series,
     rand_positive_series,
     rand_series,
+    run_python,
     unroll,
     value_at,
 )
@@ -950,11 +947,7 @@ class TestConstructorChecks:
             "except SeriesDomainError:\n"
             "    print(__debug__, 'refused')\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                             text=True, env=env, timeout=60)
+        run = run_python("-O", "-c", code)
         assert run.stdout.split() == ["False", "refused"], run.stderr
 
 
