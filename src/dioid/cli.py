@@ -67,9 +67,9 @@ def _run(op: str, mats: list[Matrix]) -> Matrix:
     return globals()[_OPS[op][0]](*mats)
 
 
-def _format(m: Matrix, header: bool) -> str:
+def _format(m: Matrix) -> str:
     try:
-        return format_matrix(m, header)
+        return format_matrix(m)
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise DioidError("cannot print the result: an entry has more digits than the "
                          "interpreter converts (PYTHONINTMAXSTRDIGITS sets the limit)") from None
@@ -91,8 +91,8 @@ def _verify(op: str, mats: list[Matrix], grid) -> str:
         expect = oracle.projector_by_enumeration(mats[0], mats[1], mats[2], grid)
     if expect != got:
         raise DioidError(
-            f"oracle disagrees for {op}:\noracle:\n{_format(expect, True)}"
-            f"computed:\n{_format(got, True)}"
+            f"oracle disagrees for {op}:\noracle:\n{_format(expect)}"
+            f"computed:\n{_format(got)}"
         )
     return f"verify {op}: oracle agrees\n"
 
@@ -179,15 +179,14 @@ def _command(args: argparse.Namespace) -> str:
             raise DioidError(str(exc)) from None
         return _verify(op, [_load(p, semiring) for p in args.inputs], grid)
     result = _run(args.command, [_load(p, semiring) for p in args.inputs])
-    out = _format(result, False)
+    text = _format(result)
     if args.output:
-        text = _format(result, True)
         try:
             with open(args.output, "w", encoding="ascii") as fh:
                 fh.write(text)
         except OSError as exc:
             raise DioidError(f"cannot write {args.output}: {exc}") from None
-    return out
+    return text[text.index("\n") + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,11 +24,18 @@ transpose conj(A)^T (a_ij -> -a_ji, eps <-> top):
 
     A \\ B = conj(A)^T (.) B      C / A = C (.) conj(A)^T      A %% X = conj(A)^T (x) X
 
-so the five operations share one integer kernel, ``_zmax_product``.  One
-encoder, ``_encode``, codes its operands and the closure's matrix below,
+so the five operations share one integer kernel, ``_zmax_product``.  As
+conj(P (x) Q) = conj(P) (.) conj(Q) (Cuninghame-Green, Minimax Algebra,
+1979), also A \\ B = conj(A^T (x) conj(B)), C / A = conj(conj(C) (x) A^T)
+and A %% X = conj(A^T (.) conj(X)); the kernel takes these forms when the
+conjugated operand has more entries than the other operand and the output
+together, as a matrix by a vector does (square operands never do).  One
+encoder, ``_encode``, codes the operands and the closure's matrix below,
 conjugated or not.  With m the largest finite magnitude in either operand
-and K = 3m + 1, top is K and eps -3K for (x), top 3K and eps -K for (.).
-Every sum of two codes then lands in one of three disjoint ranges: above 2m
+(from ``_SET_MIN_ENTRIES`` (64) entries on read off the set of distinct
+entries, hashed in C; below, a list costs less on a cold cache) and
+K = 3m + 1, top is K and eps -3K for (x), top 3K and eps -K for (.).  Every
+sum of two codes then lands in one of three disjoint ranges: above 2m
 where the exact result is top, below -2m where it is eps, and the exact
 finite value in between, so one integer max (or min) per entry is exact for
 integers of any size.
@@ -318,6 +325,7 @@ _PACK_MAX_BITS = 128
 # Closures of this order or more run on packed rows when a field fits in 64
 # bits; see the module docstring.
 _PACK_MIN_ORDER = 6
+_SET_MIN_ENTRIES = 64  # operand entries from which a product's magnitude comes from a set
 
 
 def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
@@ -328,19 +336,27 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
     Each output entry is one integer max (or min) of sums of codes, taken
     field by field over packed rows of R or, for few output rows or columns
     or wide fields, one entry at a time; see the module docstring for the
-    encoding and the choice.  The caller checks the shapes.
+    encoding and the choices.  The caller checks the shapes.
     """
-    fin = [v for v in chain(a.entries, x.entries) if v is not EPS and v is not TOP]
+    na, nx = len(a.entries), len(x.entries)
+    if na + nx >= _SET_MIN_ENTRIES:
+        fin = {*a.entries, *x.entries}
+        fin -= {EPS, TOP}
+    else:
+        fin = [v for v in chain(a.entries, x.entries) if v is not EPS and v is not TOP]
     m = max(map(abs, fin)) if fin else 0
+    r, c = a.cols if conj_a else a.rows, x.rows if conj_x else x.cols
+    # A large transposed operand stays plain; the other and the output flip.
+    flip = na > nx + r * c if conj_a else conj_x and nx > na + r * c
+    ca, cx, dual = conj_a ^ flip, conj_x ^ flip, dual ^ flip
     k = 3 * m + 1
     hi, lo = (3 * k, -k) if dual else (k, -3 * k)
-    ea = _encode(a.entries, hi, lo, conj_a)
-    ex = _encode(x.entries, hi, lo, conj_x)
+    ea = _encode(a.entries, hi, lo, ca)
+    ex = _encode(x.entries, hi, lo, cx)
     # Rows of L.
     left = _cols(ea, a.cols) if conj_a else _rows(ea, a.cols)
-    c = x.rows if conj_x else x.cols
     # The field width is the bit length of 12K plus a guard bit, in bytes.
-    if (len(left) < _PACK_MIN_ROWS or c < _PACK_MIN_COLS
+    if (r < _PACK_MIN_ROWS or c < _PACK_MIN_COLS
             or (width := ((12 * k).bit_length() + 8) // 8 * 8) > _PACK_MAX_BITS):
         # Columns of R.
         right = _rows(ex, x.cols) if conj_x else _cols(ex, x.cols)
@@ -355,7 +371,9 @@ def _zmax_product(a: Matrix, x: Matrix, dual: bool, conj_a: bool = False,
         # The codes of R, row-major.
         right = list(chain.from_iterable(_cols(ex, x.cols))) if conj_x else ex
         out = _packed_product(left, right, c, m, width, dual)
-    return Matrix(ZMAX, len(left), c, tuple(out))
+    if flip:
+        out = _encode(out, TOP, EPS, True)
+    return Matrix(ZMAX, r, c, tuple(out))
 
 
 def _packed_product(left, right: list, c: int, m: int, width: int, dual: bool) -> list:
@@ -717,7 +735,11 @@ def interval_join(semiring, lo: Matrix, hi: Matrix) -> Matrix:
     if lo.semiring is not semiring.base or hi.semiring is not semiring.base:
         raise ShapeError("interval_join: bound matrices must live over the base semiring")
     _require_same_shape(lo, hi, "interval_join")
-    return Matrix(semiring, lo.rows, lo.cols, tuple(map(semiring.make, lo.entries, hi.entries)))
+    if not all(map(semiring.base.leq, lo.entries, hi.entries)):
+        for pair in zip(lo.entries, hi.entries):
+            semiring.make(*pair)  # raises at the first unordered pair
+    interval = type(semiring.one)  # Interval, whose module this one does not import
+    return Matrix(semiring, lo.rows, lo.cols, tuple(map(interval, lo.entries, hi.entries)))
 
 
 def _by_bounds(kernel, *mats: Matrix, meet_lower: bool = False,

@@ -29,7 +29,8 @@ def parse_matrix(text: str, semiring) -> Matrix:
 
     Each distinct literal is parsed once per call: element values are
     immutable, so equal literals share one value.  The memo is keyed by the
-    literal's text and is dropped when the call returns.
+    literal's text and is dropped when the call returns.  A row after one
+    without new literals is one ``map`` of the memo's lookup.
     """
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -48,16 +49,25 @@ def parse_matrix(text: str, semiring) -> Matrix:
         raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}")
     parse = semiring.parse
     memo: dict = {}
-    get = memo.get
+    get, lookup = memo.get, memo.__getitem__
     entries: list = []
-    append = entries.append
+    append, extend = entries.append, entries.extend
+    fast = False
     for n, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != cols:
             raise ParseError(f"line {n}: expected {cols} entries, found {len(tokens)}")
+        if fast:
+            try:
+                extend(map(lookup, tokens))
+                continue
+            except KeyError:  # a new literal: back to the row's start, token by token
+                del entries[len(entries) // cols * cols:]
+        fast = cols > 1  # a one-entry row gains nothing from a map
         for tok in tokens:
             value = get(tok)  # no literal parses to None
             if value is None:
+                fast = False
                 try:
                     value = memo[tok] = parse(tok)
                 except DioidError as exc:
@@ -70,11 +80,12 @@ def parse_matrix(text: str, semiring) -> Matrix:
 
 
 def format_matrix(m: Matrix, header: bool = True) -> str:
-    """Render a matrix; with the header the output re-parses bit-exactly."""
-    fmt, entries, cols = m.semiring.format, m.entries, m.cols
-    body = "\n".join(
-        " ".join(map(fmt, entries[k : k + cols])) for k in range(0, len(entries), cols)
-    )
+    """Render a matrix; with the header the output re-parses bit-exactly.
+
+    The entries are formatted by one ``map`` of the table's ``format`` (the
+    builtin ``str`` over max-plus) and grouped into rows by ``zip``.
+    """
+    body = "\n".join(map(" ".join, zip(*[map(m.semiring.format, m.entries)] * m.cols)))
     if header:
         return f"{m.rows} {m.cols}\n{body}\n"
     return body + "\n"

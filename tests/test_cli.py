@@ -55,6 +55,27 @@ class TestMaxPlusCommands:
         capsys.readouterr()
         assert (tmp / "r.mat").read_text() == "2 1\ntop\n16\n"
 
+    @pytest.mark.parametrize("kind,a,b", [
+        ("maxplus", "3 3\n1 top eps\n18446744073709551616 -2 0\neps eps 7\n", "3 1\n8\ntop\n-3\n"),
+        ("series", "2 2\n1.g0.(1.g1)* eps\ntop 0.g0\n", "2 1\n2.g3\n0.g0+4.g2\n"),
+        ("interval-maxplus", "2 2\n[1,2] eps\n[top,top] 0\n", "2 1\n[eps,3]\n[-5,7]\n"),
+        ("interval-series", "2 2\n[0.g0,1.g0] eps\ntop [1.g1,2.g1]\n",
+         "2 1\n[eps,3.g0]\n[4.g0,7.g0]\n"),
+    ], ids=["maxplus", "series", "interval-maxplus", "interval-series"])
+    @pytest.mark.parametrize("op", ["prod", "lres"])
+    def test_output_file_is_the_header_and_stdout(self, workdir, capsys, kind, a, b, op):
+        tmp, write = workdir
+        # A square file and a column: each command runs on each type.
+        pa, pb = write("a.mat", a), write("b.mat", b)
+        assert main([op, pa, pb, "--type", kind]) == 0
+        plain = capsys.readouterr().out
+        out = tmp / "r.mat"
+        assert main([op, pa, pb, "--type", kind, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == plain
+        text = out.read_bytes()
+        header, body = text.split(b"\n", 1)
+        assert body == plain.encode("ascii") and len(header.split()) == 2
+
     def test_verify_lres(self, workdir, capsys):
         _, write = workdir
         c = write("c.mat", "3 2\n1 2\n3 4\n5 6\n")
@@ -285,16 +306,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == "1.g0+2.g300000\n"
 
-    @pytest.mark.parametrize("argv,negate", [(["prod"], False), (["lres"], True)],
-                             ids=["prod", "lres"])
-    def test_result_past_digit_limit_is_1(self, workdir, capsys, argv, negate):
+    @pytest.mark.parametrize("op,negate,n,output", [
+        ("prod", False, 1, False), ("lres", True, 1, False), ("lres", True, 3, False),
+        ("dualres", True, 3, False), ("prod", False, 3, True),
+    ], ids=["prod", "lres", "lres-3x3", "dualres-3x3", "prod-output"])
+    def test_result_past_digit_limit_is_1(self, workdir, capsys, op, negate, n, output):
         # 4300 digits parse; their sum has 4301, past the interpreter's limit
-        # for printing an int.
-        _, write = workdir
+        # for printing an int.  The 3x3 residuals by a 3x1 file conjugate
+        # the vector and the result, not the matrix; no -o file is written.
+        tmp, write = workdir
         nines = "9" * 4300
-        a = write("a.mat", f"1 1\n{'-' if negate else ''}{nines}\n")
-        b = write("b.mat", f"1 1\n{nines}\n")
-        assert main(argv + [a, b]) == 1
+        a = write("a.mat", f"{n} {n}\n" + f"{'-' if negate else ''}{nines} {'0 ' * (n - 1)}\n" * n)
+        b = write("b.mat", f"{n} 1\n" + f"{nines}\n" * n)
+        out = tmp / "r.mat"
+        assert main([op, a, b] + (["-o", str(out)] if output else [])) == 1
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("dioid: error: cannot print the result: ")
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -63,6 +63,33 @@ class TestConstruction:
         with pytest.raises(IntervalOrderError):
             IZMAX.parse("[4,1]")
 
+    def test_join_checks_every_pair_and_names_the_first_unordered(self):
+        # interval_join builds what make builds, and refuses bounds that
+        # make refuses, with make's message for the first unordered pair.
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            lo, hi = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
+            pairs = list(zip(lo.entries, hi.entries))
+            first = next((p for p in pairs if not zmax.leq(*p)), None)
+            if first is None:
+                want = tuple(IZMAX.make(*p) for p in pairs)
+                assert interval_join(IZMAX, lo, hi).entries == want
+                continue
+            with pytest.raises(IntervalOrderError) as want:
+                IZMAX.make(*first)
+            with pytest.raises(IntervalOrderError) as got:
+                interval_join(IZMAX, lo, hi)
+            assert str(got.value) == str(want.value)
+        base = IGAMMA.base
+        s_lo = from_rows(base, [[base.parse("1.g0"), base.parse("eps")]])
+        s_hi = from_rows(base, [[base.parse("2.g0"), base.parse("3.g1")]])
+        assert interval_join(IGAMMA, s_lo, s_hi).entries == tuple(
+            map(IGAMMA.make, s_lo.entries, s_hi.entries))
+        with pytest.raises(IntervalOrderError,
+                           match=r"^interval bounds are not ordered: \[2.g0,1.g0\]$"):
+            interval_join(IGAMMA, s_hi, s_lo)
+
 
 class TestArithmetic:
     def test_examples(self):

@@ -34,6 +34,7 @@ from dioid import (
     dual_residual,
     from_monomials,
     from_rows,
+    greatest_subsolution,
     identity,
     kleene_star,
     left_residual,
@@ -44,6 +45,7 @@ from dioid import (
     mat_otimes,
     mat_wedge,
     right_residual,
+    smallest_supersolution,
     star_by_powers,
     wedge_closure,
 )
@@ -442,6 +444,109 @@ class TestProductsAgainstLoops:
 
     def test_scalar_right_residual(self):
         assert right_residual(from_rows(ZMAX, [[8]]), from_rows(ZMAX, [[3]])).entries == (5,)
+
+
+RESIDUALS = ("left_residual", "right_residual", "dual_residual")
+
+
+def side_pool(rng):
+    """eps, top, small values and magnitudes just past 2^63."""
+    u = rng.random()
+    if u < 0.15:
+        return EPS
+    if u < 0.25:
+        return TOP
+    if u < 0.4:
+        return rng.choice((-1, 1)) * (2**63 + rng.randint(0, 99))
+    return rng.randint(-9, 9)
+
+
+def spy_encode(monkeypatch):
+    """Record the entries and the conjugation flag of every ``_encode``."""
+    calls = []
+    encode = matrices._encode
+
+    def spy(entries, top, eps, conj):
+        calls.append((entries, conj))
+        return encode(entries, top, eps, conj)
+
+    monkeypatch.setattr(matrices, "_encode", spy)
+    return calls
+
+
+class TestResidualSideRule:
+    """A max-plus residual conjugates its transposed operand, or, when that
+    operand has more entries than the other operand and the output together,
+    the other operand and the output instead."""
+
+    @staticmethod
+    def check(name, a, x, shape, calls):
+        """The residual against the triple loop, and whether it conjugated
+        the transposed operand's side or the other."""
+        op = SCALAR_TABLES[name][0]
+        del calls[:]
+        got = op(a, x)
+        assert got.entries == loop_entries(name, a, x, *shape), (name, a, x)
+        # right_residual(C, A) transposes A, the others their first operand.
+        big, small = (x, a) if name == "right_residual" else (a, x)
+        p, _, r = shape
+        flip = len(big.entries) > len(small.entries) + p * r
+        conj = {id(entries): c for entries, c in calls}
+        assert conj[id(big.entries)] is not flip and conj[id(small.entries)] is flip
+        assert len(calls) == 2 + flip
+        return flip
+
+    @pytest.mark.parametrize("name", RESIDUALS)
+    def test_square_against_thin_operands(self, name, monkeypatch):
+        # n x n against n x k and k x n operands: the transposed operand is
+        # the n x n one in one of the two shapes, and the rule conjugates
+        # the other side exactly when n > 2k.  Square operands never flip.
+        calls = spy_encode(monkeypatch)
+        rng = random.Random(f"side-rule:{name}")
+        sides = set()
+        for n, k in product(range(1, 10), (1, 2, 3)):
+            for shape in ((n, n, k), (k, n, n), (n, n, n)):
+                for _ in range(3):
+                    a, x = draw_operands(rng, name, shape, side_pool, side_pool)
+                    flip = self.check(name, a, x, shape, calls)
+                    big_shape = (n, n, k) if name != "right_residual" else (k, n, n)
+                    assert flip is (shape == big_shape and n > 2 * k), (n, k, shape)
+                    sides.add(flip)
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("name", RESIDUALS)
+    def test_both_sides_on_packed_rows(self, name, monkeypatch):
+        # An output of at least 4 rows and 16 columns runs the packed
+        # reduction on either side of the rule: the transposed operand has
+        # just more, or just no more, entries than the other and the output.
+        packed = spy_packed(monkeypatch)
+        calls = spy_encode(monkeypatch)
+        rng = random.Random(f"side-rule-packed:{name}")
+        # left_residual(A, B): A q x p, B q x r, flip when q*p > q*r + p*r.
+        # right_residual(C, A): C p x q, A r x q, flip when r*q > p*q + p*r.
+        shapes = ([(20, 81, 16), (20, 80, 16)] if name != "right_residual"
+                  else [(4, 6, 16), (4, 5, 16)])
+        for shape, want in zip(shapes, (True, False)):
+            for pa, px in product(("small", "int64"), repeat=2):
+                a, x = draw_operands(rng, name, shape, ENTRY_POOLS[pa], ENTRY_POOLS[px])
+                assert self.check(name, a, x, shape, calls) is want, shape
+        assert len(packed) == 8
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2)])
+    def test_against_the_grid_oracles(self, n, k):
+        # Small entries, where the brute-force oracles of the grid decide
+        # the greatest subsolution and the smallest supersolution.
+        rng = random.Random(f"side-rule-oracle:{n}:{k}")
+        grid = Grid(-20, 20)
+        small = lambda rng: rand_scalar(rng, -5, 5, 0.2, 0.1)
+        for _ in range(4):
+            a, b = draw_operands(rng, "left_residual", (n, n, k), small, small)
+            got = left_residual(a, b)
+            assert Matrix(ZMAX, n, k, tuple(map(grid.clamp_down, got.entries))) == \
+                greatest_subsolution(a, b, grid)
+            got = dual_residual(a, b)
+            assert Matrix(ZMAX, n, k, tuple(map(grid.clamp_up, got.entries))) == \
+                smallest_supersolution(a, b, grid)
 
 
 # name: (operation, dual fold, term of output (i, j) at inner index k)

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from dioid import GAMMA, IGAMMA, IZMAX, SEMIRINGS, ZMAX, format_matrix, from_rows, parse_matrix
+from dioid import (EPS, GAMMA, IGAMMA, IZMAX, SEMIRINGS, TOP, ZMAX, Matrix, format_matrix,
+                   from_rows, parse_matrix)
 from dioid.cli import main
 from dioid.errors import DioidError, DivergenceError, IntervalOrderError, ParseError
 
@@ -41,6 +42,22 @@ class TestRoundTrip:
         # interval literals never contain whitespace
         mi = parse_matrix(itext, IGAMMA)
         assert format_matrix(mi) == itext
+
+    def test_big_entries_and_rows_heavy_in_eps_and_top(self):
+        rng = random.Random(62)
+        big = [2**64, -(2**64), 2**63 + 1, -(2**63) - 5, 10**300, -(10**300)]
+        for _ in range(40):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            heavy = rng.random() < 0.5
+            draw = (lambda: rng.choice((EPS, TOP, EPS, TOP, 0, -1))) if heavy else \
+                (lambda: rng.choice(big + [EPS, TOP, rng.randint(-9, 9)]))
+            m = from_rows(ZMAX, [[draw() for _ in range(cols)] for _ in range(rows)])
+            text = format_matrix(m)
+            assert text == f"{rows} {cols}\n" + "".join(
+                " ".join(ZMAX.format(m.at(i, j)) for j in range(cols)) + "\n"
+                for i in range(rows))
+            assert format_matrix(m, header=False) == text.partition("\n")[2]
+            assert parse_matrix(text, ZMAX) == m
 
     def test_degenerate_literal(self):
         m = parse_matrix("1 1\n5\n", IZMAX)
@@ -189,3 +206,128 @@ def _parses(semiring, tok) -> bool:
     except DioidError:
         return False
     return True
+
+
+def parse_with_token_loop(text, semiring):
+    """``parse_matrix`` as a loop over the tokens: each is looked up in a
+    per-call memo and parsed on a miss, and an error names the first
+    occurrence of the failing literal in its row."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ParseError("empty matrix text")
+    n, line = lines[0]
+    header = line.split()
+    if len(header) != 2:
+        raise ParseError(f"line {n}: expected header 'rows cols', got {line!r}")
+    try:
+        rows, cols = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(f"line {n}: non-integer dimensions in {line!r}") from None
+    if rows <= 0 or cols <= 0:
+        raise ParseError(f"line {n}: dimensions must be positive, got {rows} {cols}")
+    if len(lines) - 1 != rows:
+        raise ParseError(f"expected {rows} data lines, found {len(lines) - 1}")
+    memo, entries = {}, []
+    for n, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise ParseError(f"line {n}: expected {cols} entries, found {len(tokens)}")
+        for tok in tokens:
+            if tok not in memo:
+                try:
+                    memo[tok] = semiring.parse(tok)
+                except DioidError as exc:
+                    raise type(exc)(f"line {n}, entry {tokens.index(tok) + 1}: {exc}") from None
+            entries.append(memo[tok])
+    return Matrix(semiring, rows, cols, tuple(entries))
+
+
+def outcome(parse, text, semiring):
+    """The parsed matrix, or the exception's type and message."""
+    try:
+        return parse(text, semiring)
+    except DioidError as exc:
+        return type(exc), str(exc)
+
+
+TYPES = sorted(LITERAL_POOLS)
+
+
+class TestRowLookup:
+    """A row of several entries after one without new literals is resolved
+    by one lookup over its tokens; other rows, and one holding a literal not
+    seen before, are parsed token by token."""
+
+    @staticmethod
+    def split(name):
+        semiring, pool = SEMIRINGS[name], LITERAL_POOLS[name]
+        good = [t for t in pool if _parses(semiring, t)]
+        bad = [t for t in pool if not _parses(semiring, t)]
+        return semiring, good, bad
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_literal_seen_first_on_a_late_row(self, name, monkeypatch):
+        semiring, good, _ = self.split(name)
+        known, late = good[:2], good[2]
+        rows = [[known[(i + j) % 2] for j in range(4)] for i in range(5)]
+        rows[4][2] = late
+        text = "5 4\n" + "".join(" ".join(r) + "\n" for r in rows)
+        calls = []
+        parse = semiring.parse
+        monkeypatch.setattr(semiring, "parse", lambda tok: calls.append(tok) or parse(tok))
+        got = parse_matrix(text, semiring)
+        monkeypatch.undo()
+        assert calls == [known[0], known[1], late]
+        assert got == parse_per_token(text, semiring)
+        assert got.at(4, 2) == semiring.parse(late) and got.at(4, 3) == semiring.parse(known[1])
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_bad_literal_after_rows_of_known_literals(self, name):
+        semiring, good, bad = self.split(name)
+        for b in bad:
+            row = [good[0], good[1], good[0], b, b]
+            text = "4 5\n" + (" ".join(good[:2] * 2 + good[:1]) + "\n") * 3 + " ".join(row) + "\n"
+            with pytest.raises(DioidError) as want:
+                semiring.parse(b)
+            with pytest.raises(type(want.value)) as got:
+                parse_matrix(text, semiring)
+            assert str(got.value) == f"line 5, entry 4: {want.value}"
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_count_error_wins_over_a_bad_literal_on_its_line(self, name):
+        semiring, good, bad = self.split(name)
+        text = f"2 3\n{good[0]} {good[1]} {good[0]}\n{bad[0]} {good[1]}\n"
+        with pytest.raises(ParseError, match="^line 3: expected 3 entries, found 2$"):
+            parse_matrix(text, semiring)
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_blank_lines_between_rows(self, name):
+        semiring, good, bad = self.split(name)
+        text = f"3 2\n\n{good[0]} {good[1]}\n   \n\n{good[1]} {good[2]}\n\t\n{good[2]} {good[0]}\n\n"
+        got = parse_matrix(text, semiring)
+        assert got == parse_per_token(text, semiring)
+        with pytest.raises(DioidError, match="^line 6, entry 2: "):
+            parse_matrix(text.replace(f"{good[1]} {good[2]}", f"{good[1]} {bad[0]}"), semiring)
+
+    @pytest.mark.parametrize("name", TYPES)
+    def test_differential_against_the_token_loop(self, name):
+        # 600 seeded texts per type, 2,400 in all: new literals on late rows,
+        # repeated and bad literals, short and long rows, blank lines and
+        # wrong row counts.
+        semiring, good, bad = self.split(name)
+        rng = random.Random(f"row-lookup:{name}")
+        for case in range(600):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            seen = rng.sample(good, rng.randint(1, min(3, len(good))))
+            lines = []
+            for i in range(rows):
+                pool = seen if rng.random() < 0.6 else good + bad * (case % 4 == 0)
+                width = cols + (rng.random() < 0.04) * rng.choice((-1, 1))
+                lines.append(" ".join(rng.choice(pool) for _ in range(max(width, 1))))
+                if rng.random() < 0.15:
+                    lines.append(rng.choice(("", "  ", "\t")))
+            if rng.random() < 0.03:
+                lines.append(" ".join(seen[:1] * cols))
+            text = f"{rows} {cols}\n" + "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+            got = outcome(parse_matrix, text, semiring)
+            assert got == outcome(parse_with_token_loop, text, semiring), text

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import sys
 
 import pytest
@@ -207,3 +209,32 @@ class TestTextForm:
                     zmax.parse_scalar(past)
         finally:
             sys.set_int_max_str_digits(old)
+
+
+class TestExtremesAsValues:
+    def test_set_members_and_dict_keys(self):
+        assert {EPS, TOP, EPS, 3} == {TOP, 3, EPS} and len({EPS, TOP, EPS}) == 2
+        keys = {EPS: "bottom", TOP: "top", 0: "zero"}
+        assert keys[EPS] == "bottom" and keys[TOP] == "top" and keys[0] == "zero"
+        fin = {EPS, 5, TOP, -7, 5}
+        fin -= {EPS, TOP}
+        assert fin == {5, -7}
+        # The literals are not the values.
+        assert "eps" not in {EPS, TOP} and EPS not in {"eps", "top"}
+        assert hash(EPS) != hash(TOP) and hash(EPS) == hash(EPS)
+
+    @pytest.mark.parametrize("value", [EPS, TOP])
+    def test_pickle_and_copy_keep_identity(self, value):
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, proto)) is value
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+        assert copy.deepcopy({value: [value]}) == {value: [value]}
+
+    @pytest.mark.parametrize("value,text", [
+        (EPS, "eps"), (TOP, "top"), (0, "0"), (-1, "-1"), (-17, "-17"), (42, "42"),
+        (2**64, "18446744073709551616"), (-(2**64), "-18446744073709551616"),
+    ])
+    def test_formatted_literals(self, value, text):
+        assert zmax.format_scalar(value) == text
+        assert zmax.ZMAX.format(value) == text
+        assert zmax.parse_scalar(text) == value
