@@ -88,6 +88,16 @@ def _verify(op: str, mats: list[Matrix], grid) -> str:
     elif op == "star":
         expect = oracle.star_by_powers(mats[0])
     else:
+        # The projector's solution set is neither a down-set nor an up-set,
+        # so the enumeration is exact only when the result lies on the grid.
+        for idx, v in enumerate(got.entries):
+            if grid.clamp_down(v) != v:
+                i, j = divmod(idx, got.cols)
+                side = "above" if v > grid.hi else "below"
+                raise DioidError(
+                    f"verify project: entry ({i + 1},{j + 1}) of the result lies {side} "
+                    f"the grid [{grid.lo}, {grid.hi}], where the oracle is not exact; "
+                    "widen --grid-lo/--grid-hi")
         expect = oracle.projector_by_enumeration(mats[0], mats[1], mats[2], grid)
     if expect != got:
         raise DioidError(

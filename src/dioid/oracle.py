@@ -4,8 +4,9 @@ two-bound interval projector.
 The brute-force functions never call the residuation or closure routines
 they are meant to check: they enumerate a finite scalar grid or accumulate
 explicit matrix powers.  They back the test suite and the CLI ``verify``
-command, and are restricted to max-plus scalars, where a bounded grid is
-exhaustive enough to certify extremality.
+command, and are restricted to max-plus scalars.  A bounded grid certifies
+the residuals' extremality after clamping, and the projector's only when the
+projection lies on the grid.
 
 ``interval_project`` cross-checks ``project`` over interval matrices.  It
 reuses the base-type kernels on explicit bound matrices and writes the
@@ -186,7 +187,9 @@ def projector_by_enumeration(a: Matrix, b: Matrix, x0: Matrix, grid: Grid) -> Ma
 
     Enumerates grid columns exhaustively (tiny instances only); the join of
     feasible points is feasible, so this is the greatest solution on the
-    grid by construction.
+    grid by construction.  It equals the projection only when every finite
+    entry of the projection lies in [lo, hi]: the solution set is neither a
+    down-set nor an up-set, so a clamped projection may not be feasible.
     """
     _require_zmax(a, "projector_by_enumeration")
     _require_zmax(b, "projector_by_enumeration")

@@ -159,10 +159,6 @@ def is_eps(s: Series) -> bool:
     return not s.all_top and not s.transient and not s.pattern
 
 
-def is_top(s: Series) -> bool:
-    return s.all_top
-
-
 def is_monomial(s: Series) -> bool:
     """True for a single-generator series (pure monomial)."""
     return s.period is None and len(s.transient) == 1

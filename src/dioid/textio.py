@@ -79,13 +79,11 @@ def parse_matrix(text: str, semiring) -> Matrix:
     return Matrix(semiring, rows, cols, tuple(entries))
 
 
-def format_matrix(m: Matrix, header: bool = True) -> str:
-    """Render a matrix; with the header the output re-parses bit-exactly.
+def format_matrix(m: Matrix) -> str:
+    """Render a matrix with its header line; the output re-parses bit-exactly.
 
     The entries are formatted by one ``map`` of the table's ``format`` (the
     builtin ``str`` over max-plus) and grouped into rows by ``zip``.
     """
     body = "\n".join(map(" ".join, zip(*[map(m.semiring.format, m.entries)] * m.cols)))
-    if header:
-        return f"{m.rows} {m.cols}\n{body}\n"
-    return body + "\n"
+    return f"{m.rows} {m.cols}\n{body}\n"

@@ -12,13 +12,15 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import chain
 from pathlib import Path
 
 from dioid import EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
 from dioid.errors import ShapeError
-from dioid.matrices import Matrix, _cols
+from dioid.matrices import (Matrix, _cols, dual_residual, left_residual, mat_odot, mat_otimes,
+                            right_residual)
 from dioid.series import Series
 from dioid.zmax import Scalar
 
@@ -67,6 +69,36 @@ def negate_transpose(a: Matrix) -> Matrix:
         raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
     out = map(zmax.conj, chain.from_iterable(_cols(a.entries, a.cols)))
     return Matrix(ZMAX, a.cols, a.rows, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# max-plus kernels folded from the scalar operations
+# ---------------------------------------------------------------------------
+
+# name: (operation, join, unit of join, term of output (i, j) at inner index k)
+SCALAR_TABLES = {
+    "mat_otimes": (mat_otimes, zmax.oplus, EPS,
+                   lambda a, x, i, j, k: zmax.otimes(a.at(i, k), x.at(k, j))),
+    "mat_odot": (mat_odot, zmax.wedge, TOP,
+                 lambda a, x, i, j, k: zmax.odot(a.at(i, k), x.at(k, j))),
+    "left_residual": (left_residual, zmax.wedge, TOP,
+                      lambda a, b, i, j, k: zmax.lres(a.at(k, i), b.at(k, j))),
+    "right_residual": (right_residual, zmax.wedge, TOP,
+                       lambda c, a, i, j, k: zmax.lres(a.at(j, k), c.at(i, k))),
+    "dual_residual": (dual_residual, zmax.oplus, EPS,
+                      lambda a, x, i, j, k: zmax.dualres(a.at(k, i), x.at(k, j))),
+}
+
+
+def loop_entries(name, a, x, p, q, r):
+    """The p x r entries of ``name`` on a and x, inner length q, folded from
+    the scalar tables by a triple loop."""
+    _, join, unit, term = SCALAR_TABLES[name]
+    return tuple(
+        reduce(join, (term(a, x, i, j, k) for k in range(q)), unit)
+        for i in range(p)
+        for j in range(r)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import random
 import time
 import warnings
 
 import pytest
 
+from dioid import EPS, TOP, ZMAX, Matrix, from_rows
 from dioid.cli import main
 from dioid.errors import DivergenceWarning
 
-from conftest import run_python
+from conftest import loop_entries, run_python
 
 
 @pytest.fixture
@@ -129,6 +131,60 @@ class TestMaxPlusCommands:
         assert main(["verify", "star", a, "--type", "series"]) == 1
         assert capsys.readouterr().err == (
             "dioid: error: verification is available for --type maxplus only\n")
+
+
+def write_rows(write, name, rows):
+    return write(name, f"{len(rows)} {len(rows[0])}\n"
+                 + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+
+
+def format_rows(m):
+    return "".join(" ".join(ZMAX.format(m.at(i, j)) for j in range(m.cols)) + "\n"
+                   for i in range(m.rows))
+
+
+class TestFilesAgainstLoops:
+    """Commands on files of small entries, eps, top and entries past 2^63,
+    against the kernels folded from the scalar operations."""
+
+    OPS = {"prod": "mat_otimes", "dualprod": "mat_odot", "lres": "left_residual",
+           "rres": "right_residual", "dualres": "dual_residual"}
+
+    @staticmethod
+    def draw(rng):
+        return rng.choice([EPS] * 3 + [TOP] + list(range(-9, 10)))
+
+    def test_square_files_on_packed_rows(self, workdir, capsys):
+        # 20 x 20 by 20 x 20, one entry 2^64: the packed reduction on fields
+        # past 64 bits for every command.
+        _, write = workdir
+        rng = random.Random("cli-20x20")
+        a, x = ([[self.draw(rng) for _ in range(20)] for _ in range(20)] for _ in "ax")
+        a[3][5] = 2**64
+        pa, px = write_rows(write, "a.mat", a), write_rows(write, "x.mat", x)
+        a, x = from_rows(ZMAX, a), from_rows(ZMAX, x)
+        for op, name in self.OPS.items():
+            assert main([op, pa, px]) == 0
+            got = Matrix(ZMAX, 20, 20, loop_entries(name, a, x, 20, 20, 20))
+            assert capsys.readouterr() == (format_rows(got), ""), op
+
+    @pytest.mark.parametrize("op", ["lres", "dualres"])
+    def test_residual_by_a_column(self, workdir, capsys, op):
+        # 60 x 60 by 60 x 1 with entries past +-2^63: the residual conjugates
+        # the column and the result, not the matrix.
+        tmp, write = workdir
+        rng = random.Random("cli-60x1")
+        a = [[self.draw(rng) for _ in range(60)] for _ in range(60)]
+        a[7][9], a[8][2] = 2**63 + 5, -(2**63) - 3
+        b = [[self.draw(rng)] for _ in range(60)]
+        b[4][0] = 2**64
+        pa, pb = write_rows(write, "a.mat", a), write_rows(write, "b.mat", b)
+        out = tmp / "r.mat"
+        assert main([op, pa, pb, "-o", str(out)]) == 0
+        got = Matrix(ZMAX, 60, 1, loop_entries(self.OPS[op], from_rows(ZMAX, a),
+                                                 from_rows(ZMAX, b), 60, 60, 1))
+        assert capsys.readouterr() == (format_rows(got), "")
+        assert out.read_text() == "60 1\n" + format_rows(got)
 
 
 class TestProjectCommand:
@@ -269,6 +325,37 @@ class TestExitCodes:
         assert main(["verify", "project", a3, a3, x3]) == 1
         assert "projector_by_enumeration: estimated work" in capsys.readouterr().err
 
+    # The projection of (50, 60) is itself: A (x) X <= X and X <= B (.) X
+    # hold for every X.  The enumeration on the grid would return (20, 20).
+    PROJECT = ("2 2\n-1 eps\neps -1\n", "2 2\n0 top\ntop 0\n")
+
+    def test_verify_project_off_the_grid_is_1(self, workdir, capsys):
+        _, write = workdir
+        a, b = (write(f"{n}.mat", t) for n, t in zip("ab", self.PROJECT))
+        x0 = write("x0.mat", "2 1\n50\n60\n")
+        assert main(["project", a, b, x0]) == 0
+        assert capsys.readouterr().out == "50\n60\n"
+        assert main(["verify", "project", a, b, x0]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("dioid: error: verify project: entry (1,1) of the result "
+                                       "lies above the grid [-20, 20]")
+        assert "disagrees" not in captured.err
+        assert main(["verify", "project", a, b, x0, "--grid-hi", "60"]) == 0
+        assert capsys.readouterr().out == "verify project: oracle agrees\n"
+
+    def test_verify_project_on_the_grid(self, workdir, capsys, monkeypatch):
+        # Agreement inside the grid; a wrong result inside it still disagrees.
+        _, write = workdir
+        a, b = (write(f"{n}.mat", t) for n, t in zip("ab", self.PROJECT))
+        x0 = write("x0.mat", "2 1\n5\n-6\n")
+        assert main(["verify", "project", a, b, x0]) == 0
+        assert capsys.readouterr().out == "verify project: oracle agrees\n"
+        monkeypatch.setattr("dioid.projector.project",
+                            lambda a, b, x0: from_rows(ZMAX, [[4], [-6]]))
+        assert main(["verify", "project", a, b, x0]) == 1
+        assert capsys.readouterr().err.startswith("dioid: error: oracle disagrees for project:")
+
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir
         a = write("a.mat", "2 3\n1 2 3\n4 5 6\n")
@@ -384,7 +471,39 @@ def launch(*argv: str) -> tuple[int, str, set[str]]:
 
 
 class TestLaunch:
+    """The command line through ``python -m dioid.cli`` in a fresh interpreter:
+    exit status, stdout, and stderr line by line."""
+
     NEVER_FOR_PROD = {"dioid.oracle", "dioid.projector", "dataclasses", "inspect", "fractions"}
+
+    def test_parse_error_is_2_with_one_line_naming_the_first(self, workdir):
+        # The same bad literal on lines 2 and 3: the file is parsed once and
+        # the line names the first.
+        _, write = workdir
+        bad = write("bad.mat", "3 3\n1 frog 3\nfrog 5 6\n7 8 9\n")
+        run = run_python("-m", "dioid.cli", "star", bad)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.endswith("\n"), run.stderr
+        assert run.stderr.startswith(f"dioid: parse error: {bad}: line 2, entry 2: ")
+
+    def test_unwritable_output_is_1_with_one_line(self, workdir):
+        tmp, write = workdir
+        a = write("a.mat", "2 2\n1 2\n3 4\n")
+        out = tmp / "missing" / "x.mat"
+        run = run_python("-m", "dioid.cli", "prod", a, a, "-o", str(out))
+        assert (run.returncode, run.stdout) == (1, "")
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+        assert run.stderr.startswith(f"dioid: error: cannot write {out}: ")
+        assert not out.exists()
+
+    def test_dualstar_warning_is_one_line_and_exit_0(self, workdir):
+        # Both diagonal entries are decreasing dual circuits.
+        _, write = workdir
+        b = write("b.mat", "2 2\n-1 top\ntop -1\n")
+        run = run_python("-m", "dioid.cli", "dualstar", b)
+        assert (run.returncode, run.stdout) == (0, "eps top\ntop eps\n")
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dioid: warning: wedge_closure: "), lines
 
     def test_prod_loads_neither_the_oracle_nor_dataclasses(self, workdir):
         _, write = workdir

@@ -55,8 +55,8 @@ from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_b
                             interval_join)
 from dioid.series import parse_series
 
-from conftest import (eps_matrix, negate_transpose, rand_matrix, rand_scalar, rand_series,
-                      top_matrix)
+from conftest import (SCALAR_TABLES, eps_matrix, loop_entries, negate_transpose, rand_matrix,
+                      rand_scalar, rand_series, top_matrix)
 
 
 def series_matrix(rows):
@@ -227,21 +227,6 @@ ENTRY_POOLS = {
     "huge": lambda rng: rng.choice((EPS, TOP, rng.randint(-4, 4) * 10**400)),
 }
 
-# name: (operation, join, unit of join, term of output (i, j) at inner index k)
-SCALAR_TABLES = {
-    "mat_otimes": (mat_otimes, zmax.oplus, EPS,
-                   lambda a, x, i, j, k: zmax.otimes(a.at(i, k), x.at(k, j))),
-    "mat_odot": (mat_odot, zmax.wedge, TOP,
-                 lambda a, x, i, j, k: zmax.odot(a.at(i, k), x.at(k, j))),
-    "left_residual": (left_residual, zmax.wedge, TOP,
-                      lambda a, b, i, j, k: zmax.lres(a.at(k, i), b.at(k, j))),
-    "right_residual": (right_residual, zmax.wedge, TOP,
-                       lambda c, a, i, j, k: zmax.lres(a.at(j, k), c.at(i, k))),
-    "dual_residual": (dual_residual, zmax.oplus, EPS,
-                      lambda a, x, i, j, k: zmax.dualres(a.at(k, i), x.at(k, j))),
-}
-
-
 def operand_shapes(name, p, q, r):
     """Shapes of the two operands of ``name`` whose result is p x r with inner length q."""
     if name in ("mat_otimes", "mat_odot"):
@@ -249,17 +234,6 @@ def operand_shapes(name, p, q, r):
     if name == "right_residual":
         return (p, q), (r, q)
     return (q, p), (q, r)
-
-
-def loop_entries(name, a, x, p, q, r):
-    """The p x r entries of ``name`` on a and x, inner length q, folded from
-    the scalar tables by a triple loop."""
-    _, join, unit, term = SCALAR_TABLES[name]
-    return tuple(
-        reduce(join, (term(a, x, i, j, k) for k in range(q)), unit)
-        for i in range(p)
-        for j in range(r)
-    )
 
 
 def draw_operands(rng, name, shape, draw_a, draw_x):
@@ -994,10 +968,10 @@ class TestMonomialClosureExample:
         assert wedge_closure(B_MONO) == p3
 
     def test_closure_entries_stay_monomial(self):
-        from dioid.series import is_eps, is_monomial, is_top
+        from dioid.series import is_eps, is_monomial
 
         got = wedge_closure(B_MONO)
-        assert all(is_monomial(e) or is_eps(e) or is_top(e) for e in got.entries)
+        assert all(is_monomial(e) or is_eps(e) or e.all_top for e in got.entries)
 
     def test_non_neutral_monomial_loop_saturates(self):
         with pytest.warns(DivergenceWarning, match="pivot"):
