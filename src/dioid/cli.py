@@ -99,11 +99,13 @@ def _verify(op: str, mats: list[Matrix], grid) -> str:
                     f"the grid [{grid.lo}, {grid.hi}], where the oracle is not exact; "
                     "widen --grid-lo/--grid-hi")
         expect = oracle.projector_by_enumeration(mats[0], mats[1], mats[2], grid)
-    if expect != got:
-        raise DioidError(
-            f"oracle disagrees for {op}:\noracle:\n{_format(expect)}"
-            f"computed:\n{_format(got)}"
-        )
+    for idx, (x, y) in enumerate(zip(got.entries, expect.entries)):
+        if x != y:
+            i, j = divmod(idx, got.cols)
+            # Printed as the 1x2 matrix "1 2\nx y\n", under _format's digit-limit check.
+            x, y = _format(Matrix(ZMAX, 1, 2, (x, y))).split()[2:]
+            raise DioidError(f"verify {op}: oracle disagrees at entry ({i + 1},{j + 1}): "
+                             f"computed {x}, oracle {y}")
     return f"verify {op}: oracle agrees\n"
 
 

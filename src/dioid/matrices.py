@@ -513,10 +513,10 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
     """E (+) A (+) A^2 (+) ... over the operation table ``ops`` by Gauss-Jordan
     elimination.
 
-    One pass per pivot, closing the pivot's diagonal entry with the scalar
-    star.  Also returns the 0-based pivots whose star saturated: a diagonal
-    entry other than ``ops.top`` whose star is ``ops.top`` sits on a circuit
-    that improves without bound.
+    Per pivot k, ik = m_ik (x) m_kk* joins ik (x) m_kj into m_ij for j != k
+    and sets m_ik = ik: a (+) a s* s = a s*, as every table's star, the
+    dual one too, has s* = e (+) s s*.  Also returns the 0-based pivots whose
+    star saturated, each on a circuit that improves without bound.
     """
     n = a.rows
     eps, oplus, otimes, star = ops.eps, ops.oplus, ops.otimes, ops.star
@@ -526,14 +526,15 @@ def _gauss_jordan(ops, a: Matrix) -> tuple[Matrix, list[int]]:
         skk = star(m[k][k])
         if skk == ops.top and m[k][k] != ops.top:
             saturated.append(k)
-        for i in range(n):
-            ik = otimes(m[i][k], skk)
+        row_k = m[k]
+        others = [j for j in range(n) if j != k]
+        for row_i in m:
+            ik = otimes(row_i[k], skk)
             if ik == eps:
                 continue
-            row_k = m[k]
-            row_i = m[i]
-            for j in range(n):
+            for j in others:
                 row_i[j] = oplus(row_i[j], otimes(ik, row_k[j]))
+            row_i[k] = ik
     for i in range(n):
         m[i][i] = oplus(m[i][i], ops.one)
     return Matrix(a.semiring, n, n, tuple(chain.from_iterable(m))), saturated

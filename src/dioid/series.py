@@ -24,39 +24,36 @@ and every public operation returns a canonical result.  Later copies of a
 pattern monomial need not be steps: ``0.g0.(1.g2)*+1.g1.(1.g2)*`` is worth
 0, 1, 1, 2, 2, ... and its copy ``1.g2`` only repeats the value before it.
 
-All exact operations work on a sliding window of explicit values together
-with a *proven* periodicity rank computed from the operands (a dominance
-rank for joins, a crossing bound for meets, shift arguments for residuals,
-a verified recurrence window for stars), so no result is ever guessed from
-a finite prefix.
+All exact operations work from a *proven* periodicity rank computed from
+the operands (a dominance rank for joins, a crossing bound for meets, shift
+arguments for residuals, a verified recurrence window for stars), so no
+result is ever guessed from a finite prefix.
 
-Every step on a window is one linear pass over Python ints.  ``values``
-sweeps the staircase steps once, transient first, then the pattern copies,
-filling constant runs: O(window + steps).  ``_pattern_sum`` drops every copy
-of several (pattern, period) groups, and each transient monomial, into one
-event array and takes a running max, over a window sized by the steepest
-groups alone.  A join with a periodic operand, a product, a whole sum of
-products (a series matrix product entry, see ``_otimes_sum``) and the terms
-of a literal are one such sweep each; a join of two polynomials is one
-``from_monomials`` merge.
-``_reconstruct`` reads the steps, the minimal period and the earliest rank
-straight off the ints.  Two windows are met by comparing ints on their
-common finite stretch, and a residual value is one minimum over the
-denominator's steps.  Eps and top sit only at the ends of a window, so they
-are located, not compared.
+Results are read off their staircase steps: ``_canonical`` takes the
+minimal period under which the steps past the proven rank repeat shifted,
+and the earliest rank by walking the breakpoints of s(j) and s(j + nu)
+down from it, in O(steps).  ``_pattern_sum`` drops every copy of several
+(pattern, period) groups, and each transient monomial, into one event array
+over a window sized by the steepest groups, and keeps the steps of its
+running max: a product, a sum of products (a series matrix product entry,
+see ``_otimes_sum``), a join of periodic operands and a literal's terms are
+one sweep each.  ``s_oplus`` merges a finite polynomial with a periodic
+series' copies, and ``from_monomials`` two polynomials, with no window.
+Meets, residuals and stars still compare windows of ints, where eps and
+top sit only at the ends, located, not compared.
 
 Operations expect canonical operands, as every constructor function and
 operation returns them.  So a product by a monomial, or a residual by a
-finite one, shifts the other operand, and a join or meet whose window equals
-an operand's returns that operand, without rebuilding either.
+finite one, shifts the other operand, and a meet whose window equals an
+operand's returns that operand, without rebuilding either.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
-from operator import attrgetter, sub
+from bisect import bisect_left, bisect_right
+from operator import attrgetter, itemgetter, sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from . import zmax
@@ -181,9 +178,9 @@ def values(s: Series, lo: int, hi: int) -> list[Scalar]:
     """Exact coefficients on the exponent window [lo, hi].
 
     One sweep over the staircase steps at or below ``hi``: the transient,
-    then the pattern copies from the first one that reaches ``lo``.  Each
-    step raises a running maximum and the constant run before it is filled
-    in one list operation, so the cost is O(window + steps).
+    then the pattern copies.  Each step raises a running maximum and the
+    constant run before it is filled in one list operation, so the cost is
+    O(window + steps).
     """
     if hi < lo:
         return []
@@ -202,14 +199,8 @@ def values(s: Series, lo: int, hi: int) -> list[Scalar]:
         cur = m.coeff  # the constructor keeps these strictly increasing
     if s.period is not None:
         tau, nu = s.period.coeff, s.period.exp
-        start = s.pattern[0].exp
-        # Copies before the k-th lie wholly below lo; every pattern value
-        # tops the transient, so they only leave their largest value.
-        k = (lo - start) // nu if lo > start else 0
-        if k:
-            cur = s.pattern[-1].coeff + (k - 1) * tau
-        pat = [(m.exp - start, m.coeff) for m in s.pattern]
-        base, shift = start + k * nu, k * tau
+        base, shift = s.pattern[0].exp, 0
+        pat = [(m.exp - base, m.coeff) for m in s.pattern]
         while base <= hi:
             for off, c in pat:
                 e = base + off
@@ -245,39 +236,25 @@ def _growth(s: Series) -> tuple[int, int, int]:
     return (s.period.coeff, s.period.exp, s.pattern[0].exp)
 
 
-def _shift_coeff(v: Scalar, d: int) -> Scalar:
-    if isinstance(v, Extreme):
-        return v
-    return v + d
-
-
-def _steps(vals: list[Scalar], lo: int, end: int) -> tuple[list[int], list[Scalar]]:
-    """Exponents and values where ``vals[:end]``, finite after an eps prefix,
-    changes value; a change must be an increase."""
-    exps: list[int] = []
-    coeffs: list[Scalar] = []
-    k = 0
-    while k < end and vals[k] is EPS:
-        k += 1
-    if k < end:
-        prev = vals[k]
-        exps.append(lo + k)
-        coeffs.append(prev)
-        for i in range(k + 1, end):
-            v = vals[i]
-            if v != prev:
-                if v < prev:
-                    raise AssertionError("series values must be non-decreasing")
-                exps.append(lo + i)
-                coeffs.append(v)
-                prev = v
+def _steps(vals: list[Scalar], lo: int) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where the window ``vals``, first exponent ``lo``,
+    changes value: eps before the first, and top, if reached, last.  A
+    change must be an increase."""
+    exps, coeffs = [], []
+    prev = EPS
+    for i, v in enumerate(vals):
+        if v != prev:
+            if prev is TOP or coeffs and v is not TOP and v < prev:
+                raise AssertionError("series values must be non-decreasing")
+            exps.append(lo + i)
+            coeffs.append(v)
+            prev = v
     return exps, coeffs
 
 
 def _divisors(n: int) -> list[int]:
     """Divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
-    small: list[int] = []
-    large: list[int] = []
+    small, large = [], []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
             small.append(d)
@@ -287,63 +264,50 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _reconstruct(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> Series:
-    """Rebuild the canonical form from an exact window.
-
-    Requires: the window covers [lo, rank + 2*nu], the series is eps below
-    lo, and s(j + nu) = s(j) + tau holds for every j >= rank.  The checks
-    below catch a caller whose proof of that recurrence is wrong.
-    """
-    n = len(vals)
-    hi = lo + n - 1
+def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int,
+               rank: int) -> Series:
+    """Canonical form of the series whose steps up to ``hi`` are ``exps``,
+    ``coeffs`` (as ``_steps`` gives them), where hi >= rank + 2*nu and
+    s(j + nu) = s(j) + tau for j >= rank; the checks below catch a caller
+    whose proof of that recurrence is wrong."""
     if hi < rank + 2 * nu:
         raise AssertionError("window ends before two periods past the rank")
-
-    if vals[-1] is TOP:
-        i = vals.index(TOP)
-        exps, coeffs = _steps(vals, lo, i)
-        head = tuple(map(Monomial, coeffs, exps)) + (Monomial(TOP, lo + i),)
-        return Series(head, (), None)
-
-    exps, coeffs = _steps(vals, lo, n)
     if not exps:
         return S_EPS
-
-    if tau == 0:
-        if exps[-1] > rank:
+    if coeffs[-1] is TOP or tau == 0:
+        if coeffs[-1] is not TOP and exps[-1] > rank:
             raise AssertionError("a polynomial steps past its proven rank")
         return Series(tuple(map(Monomial, coeffs, exps)), (), None)
-
-    # From the rank on the window is finite: top was handled above, and a
-    # recurrence from an eps value would leave the whole window eps.
-    r = rank - lo
-    k = exps[0] - lo  # first finite index
-    if k > r:
+    # A recurrence from an eps value would leave the whole window eps.
+    if exps[0] > rank:
         raise AssertionError("the window is eps at the proven rank")
-
-    # Minimal period: smallest exponent-divisor whose proportional
-    # coefficient is integral and whose recurrence holds on the window.
-    tail = vals[r:]
-    for nu0 in _divisors(nu):
-        if (tau * nu0) % nu:
-            continue
-        tau0 = tau * nu0 // nu
-        if [v + tau0 for v in tail[:-nu0]] == tail[nu0:]:
+    # Minimal period: the least nu0 | nu with s(j + nu0) = s(j) + tau0 on
+    # [rank, hi - nu0]: the steps past rank + nu0, and the value before them,
+    # are those past rank shifted.  The c steps of a period fill its nu/nu0
+    # parts alike, so nu/nu0 divides gcd(nu, tau, c).
+    r = bisect_right(exps, rank)
+    h = math.gcd(nu, tau, bisect_right(exps, rank + nu, r) - r)
+    for d in _divisors(h):
+        nu0, tau0 = nu // h * d, tau // h * d
+        r0 = bisect_right(exps, rank + nu0, r)
+        r1 = bisect_right(exps, hi - nu0, r)
+        if (exps[r0:] == [e + nu0 for e in exps[r:r1]]
+                and coeffs[r0 - 1:] == [c + tau0 for c in coeffs[r - 1:r1]]):
             break
     else:
         raise AssertionError("the proven period does not hold on the window")
-
-    # Earliest rank at which the minimal recurrence already holds: one past
-    # the last j < rank where it fails.  On the eps prefix it fails exactly
-    # at the last eps index.
-    i = r - 1
-    while i >= k and vals[i + nu0] == vals[i] + tau0:
-        i -= 1
-    n_raw = lo + max(i + 1, k)
-
-    i = bisect_left(exps, n_raw)
-    if i == len(exps) or exps[i] + nu0 > hi:
-        raise AssertionError("no pattern step within the window")
+    # Earliest rank: it holds from j on, s(j - 1) is coeffs[p] and
+    # s(j - 1 + nu0) coeffs[q]; where they agree it holds down to their
+    # higher breakpoint.  It fails on the eps prefix.
+    j, p, q = rank, bisect_left(exps, rank) - 1, bisect_left(exps, rank + nu0) - 1
+    while p >= 0 and coeffs[q] == coeffs[p] + tau0:
+        j = max(exps[p], exps[q] - nu0)
+        if exps[p] == j:
+            p -= 1
+        if exps[q] - nu0 == j:
+            q -= 1
+    # A step lies in (rank, rank + nu0], so the pattern ends by hi.
+    i = bisect_left(exps, j)
     i2 = bisect_left(exps, exps[i] + nu0, i)
     monos = tuple(map(Monomial, coeffs[:i2], exps[:i2]))
     return Series(monos[:i], monos[i:], Monomial(tau0, nu0))
@@ -353,25 +317,28 @@ def _reconstruct(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> S
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _rises(pairs: list[tuple[int, Scalar]]) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where the largest of the finite or top values
+    ``pairs`` (exponent, value), sorted in place, at or before an exponent
+    rises; top ends it."""
+    pairs.sort(key=itemgetter(0))
+    exps, coeffs = [], []
+    for e, c in pairs:
+        if not coeffs or c is TOP or c > coeffs[-1]:
+            if exps and exps[-1] == e:
+                coeffs[-1] = c
+            else:
+                exps.append(e)
+                coeffs.append(c)
+            if c is TOP:
+                break
+    return exps, coeffs
+
+
 def from_monomials(monos: Iterable[Monomial]) -> Series:
     """Canonical sum of finitely many monomials (a polynomial)."""
-    by_exp: dict[int, Scalar] = {}
-    for m in monos:
-        if m.coeff is EPS:
-            continue
-        by_exp[m.exp] = zmax.oplus(by_exp.get(m.exp, EPS), m.coeff)
-    out: list[Monomial] = []
-    best: Scalar = EPS
-    for exp in sorted(by_exp):
-        c = by_exp[exp]
-        if zmax.lt(best, c):
-            out.append(Monomial(c, exp))
-            best = c
-        if best is TOP:
-            break
-    if not out:
-        return S_EPS
-    return Series(tuple(out), (), None)
+    exps, coeffs = _rises([(m.exp, m.coeff) for m in monos if m.coeff is not EPS])
+    return Series(tuple(map(Monomial, coeffs, exps)), (), None) if exps else S_EPS
 
 
 def pattern_series(monos: Iterable[Monomial], period: Monomial,
@@ -425,11 +392,10 @@ def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
     return kept
 
 
-def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Monomial],
-                 operands: tuple[Series, ...] = ()) -> Series:
+def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Monomial]) -> Series:
     """Canonical join of the polynomial ``transient`` and, for every
     ``period: pattern`` of ``groups``, the series pattern (x) period*: one
-    event array over one window and one ``_reconstruct``.
+    event array over one window, whose running max gives the steps.
 
     The steepest groups share the period T.g(v), v the lcm of their
     exponents; from rank0, their last pattern exponent, they are at least
@@ -438,9 +404,8 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     monomials: it adds nothing past rank0 + k*v once k*(T*nf - tf*v) >=
     d + tf*(rank0 + v) - nf*L, nor the transient once k*T passes its largest
     coefficient less L.  The window ends two periods past the largest such
-    rank, or where a ``top`` coefficient saturates the join.  A periodic
-    operand (a series joined) whose window is the result's is returned.
-    Within each group the monomials another one dominates are dropped first
+    rank, or where a ``top`` coefficient saturates the join.  Within each
+    group the monomials another one dominates are dropped first
     (``_undominated``), so they neither size the window nor cost a fill.
     """
     # One pass splits the monomials into finite and top ones, and finds lo
@@ -472,7 +437,7 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
         rank = min([m.exp for m in tops])
         lo = min(lo, rank)
         _check_work("series window", rank + 2 - lo)
-        n = rank - lo
+        tau, nu, n = 0, 1, rank - lo
     else:
         # The steepest groups share the period (tau, nu); ``rank`` starts at
         # rank0, where each of their monomials has begun, and ``low`` is L.
@@ -525,23 +490,17 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
         i = m.exp - lo
         if i < n and m.coeff > events[i]:
             events[i] = m.coeff
-    vals: list[Scalar] = []
+    exps, coeffs = [], []
     cur = floor
-    for x in events:
+    for i, x in enumerate(events):
         if x > cur:
             cur = x
-        vals.append(cur)
+            exps.append(lo + i)
+            coeffs.append(x)
     if tops:
-        return _reconstruct(vals + [TOP] * 3, lo, 0, 1, rank)
-    hi = lo + n - 1
-    for s in operands:
-        # An operand of the steep slope follows (tau, nu) from ``rank`` too,
-        # so one whose window is ``vals`` is the result; its ends are read
-        # first.  A flatter one lies below the steep part from ``rank`` on.
-        if (s.period.coeff * nu == tau * s.period.exp and _min_exp(s) == lo
-                and values(s, hi, hi) == vals[-1:] and values(s, lo, hi) == vals):
-            return s
-    return _reconstruct(vals, lo, tau, nu, rank)
+        exps.append(rank)
+        coeffs.append(TOP)
+    return _canonical(exps, coeffs, rank + 2 * nu, tau, nu, rank)
 
 
 def make_series(
@@ -566,7 +525,8 @@ def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
         return S_TOP
     if t is TOP:
         return Series((Monomial(TOP, _min_exp(s) + n),), (), None)
-    transient = tuple(Monomial(_shift_coeff(m.coeff, t), m.exp + n) for m in s.transient)
+    transient = tuple(Monomial(m.coeff if m.coeff is TOP else m.coeff + t, m.exp + n)
+                      for m in s.transient)
     pattern = tuple(Monomial(m.coeff + t, m.exp + n) for m in s.pattern)
     return Series(transient, pattern, s.period)
 
@@ -590,7 +550,8 @@ def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
 
 
 def s_oplus(a: Series, b: Series) -> Series:
-    """Least upper bound: pointwise max."""
+    """Least upper bound: pointwise max.  A finite polynomial p joins a
+    periodic s on steps, with ``_pattern_sum``'s rank and work estimate."""
     if is_eps(a):
         return b
     if is_eps(b):
@@ -599,14 +560,24 @@ def s_oplus(a: Series, b: Series) -> Series:
         return S_TOP
     if a == b:
         return a
-    if a.period is None and b.period is None:
+    p, s = (a, b) if b.period is not None else (b, a)
+    if s.period is None:
         # Two polynomials, top-tailed or not: a merge of their monomials.
         return from_monomials(a.transient + b.transient)
-    periodic = tuple(s for s in (a, b) if s.period is not None)
-    groups: dict[Monomial, list[Monomial]] = {}
-    for s in periodic:
-        groups.setdefault(s.period, []).extend(s.pattern)
-    return _pattern_sum(groups, a.transient + b.transient, periodic)
+    if p.period is None and p.transient[-1].coeff is not TOP:
+        # p adds nothing from the rank on; k periods of copies pass rank + 2*nu.
+        (tau, nu), q = (s.period.coeff, s.period.exp), s.pattern
+        rank = q[-1].exp + max(0, -(-(p.transient[-1].coeff - q[-1].coeff) // tau)) * nu
+        _check_work(f"pattern with period exponent {nu}",
+                    rank + 2 * nu - min(p.transient[0].exp, _min_exp(s)))
+        k = (rank - q[0].exp) // nu + 3
+        pairs = [(m.exp, m.coeff) for m in p.transient + s.transient]
+        pairs += [(m.exp + i * nu, m.coeff + i * tau) for i in range(k) for m in q]
+        return _canonical(*_rises(pairs), q[0].exp + k * nu - 1, tau, nu, rank)
+    groups = {s.period: list(s.pattern)}
+    if p.period is not None:
+        groups.setdefault(p.period, []).extend(p.pattern)
+    return _pattern_sum(groups, a.transient + b.transient)
 
 
 def s_wedge(a: Series, b: Series) -> Series:
@@ -646,7 +617,7 @@ def s_wedge(a: Series, b: Series) -> Series:
     _check_work("series window", hi - lo)
     va, vb = values(a, lo, hi), values(b, lo, hi)
     vals = _meet(va, vb)
-    return a if vals == va else b if vals == vb else _reconstruct(vals, lo, tau, nu, rank)
+    return a if vals == va else b if vals == vb else _canonical(*_steps(vals, lo), hi, tau, nu, rank)
 
 
 def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
@@ -722,10 +693,6 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
     return _pattern_sum(groups, poly)
 
 
-def _growth_is_inf(s: Series) -> bool:
-    return s.all_top or _top_tail_exp(s) is not None
-
-
 def s_lres(a: Series, b: Series) -> Series:
     """Greatest x with a (x) x <= b."""
     if b.all_top:
@@ -745,9 +712,8 @@ def s_lres(a: Series, b: Series) -> Series:
     v = math.lcm(gna, gnb)
     big_a = gta * (v // gna)
     big_b = gtb * (v // gnb)
-    if _growth_is_inf(a) and not _growth_is_inf(b):
-        return S_EPS
-    if not _growth_is_inf(a) and not _growth_is_inf(b) and big_a > big_b:
+    # Neither is all-top here: a top tail is the infinite growth.
+    if _top_tail_exp(b) is None and (_top_tail_exp(a) is not None or big_a > big_b):
         return S_EPS
 
     na0, nb0 = _min_exp(a), _min_exp(b)
@@ -762,7 +728,7 @@ def s_lres(a: Series, b: Series) -> Series:
     ta = _extent(a_vals)[1]  # a_vals starts at a's first step: never eps
     eb, tb = _extent(b_vals)
     # Offsets of a's steps in a_vals, and their values, while a is finite.
-    ks, cs = _steps(a_vals, 0, ta)
+    ks, cs = _steps(a_vals[:ta], 0)
     _check_work("residual sweep (window x steps)", (hi - lo + 1) * len(ks))
 
     # x(j) = min over k in [na0, k_max] of b(j + k) - a(k), with i = j - lo
@@ -779,7 +745,7 @@ def s_lres(a: Series, b: Series) -> Series:
         else:
             out.append(min([b_vals[i + k] - c for k, c in zip(ks[:bisect_left(ks, m)], cs)],
                            default=TOP))
-    return _reconstruct(out, lo, big_b, v, rank_x)
+    return _canonical(*_steps(out, lo), hi, big_b, v, rank_x)
 
 
 def _require_dual_left(m: Series) -> None:
@@ -851,7 +817,7 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
             j -= 1
         rank = j + 1
         if horizon >= rank + n_b + w and horizon >= rank + 2 * n_b:
-            return _reconstruct(f, 0, t_b, n_b, rank)
+            return _canonical(*_steps(f, 0), horizon, t_b, n_b, rank)
         horizon *= 2
 
 

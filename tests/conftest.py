@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import chain
 from pathlib import Path
 
-from dioid import EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
+from dioid import EPS, S_EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
 from dioid.errors import ShapeError
 from dioid.matrices import (Matrix, _cols, dual_residual, left_residual, mat_odot, mat_otimes,
@@ -204,3 +204,78 @@ def eval_series(s: Series, j: int):
     if s.all_top:
         return TOP
     return eval_monomials(unroll(s, j), j)
+
+
+# ---------------------------------------------------------------------------
+# window canonicalisation and full elimination, kept as references
+# ---------------------------------------------------------------------------
+
+
+def canonical_by_window(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> Series:
+    """Canonical form of the series whose values on [lo, lo + len(vals) - 1]
+    are ``vals``, eps below lo, with s(j + nu) = s(j) + tau for j >= rank.
+
+    The window canonicalisation that ``series._canonical`` replaced: the
+    minimal period is the least divisor nu0 of nu, with tau*nu0/nu integral,
+    whose recurrence holds on the whole window from the rank, and the
+    earliest rank is one past the last j < rank where it fails, walked back
+    value by value.  Raises AssertionError where the claim does not hold.
+    """
+    n = len(vals)
+    hi = lo + n - 1
+    if hi < rank + 2 * nu:
+        raise AssertionError("window ends before two periods past the rank")
+    end = vals.index(TOP) if n and vals[-1] is TOP else n
+    k = next((i for i in range(end) if vals[i] is not EPS), end)  # first finite index
+    monos = tuple(Monomial(vals[i], lo + i) for i in range(k, end)
+                  if i == k or vals[i] != vals[i - 1])
+    if end < n:
+        return Series(monos + (Monomial(TOP, lo + end),), (), None)
+    if not monos:
+        return S_EPS
+    if tau == 0:
+        if monos[-1].exp > rank:
+            raise AssertionError("a polynomial steps past its proven rank")
+        return Series(monos, (), None)
+    r = rank - lo
+    if k > r:
+        raise AssertionError("the window is eps at the proven rank")
+    tail = vals[r:]
+    for nu0 in [d for d in range(1, nu + 1) if nu % d == 0]:
+        if (tau * nu0) % nu:
+            continue
+        tau0 = tau * nu0 // nu
+        if [v + tau0 for v in tail[:-nu0]] == tail[nu0:]:
+            break
+    else:
+        raise AssertionError("the proven period does not hold on the window")
+    i = r - 1
+    while i >= k and vals[i + nu0] == vals[i] + tau0:
+        i -= 1
+    start = lo + max(i + 1, k)
+    first = next(idx for idx, m in enumerate(monos) if m.exp >= start)
+    pattern = tuple(m for m in monos[first:] if m.exp < monos[first].exp + nu0)
+    return Series(monos[:first], pattern, Monomial(tau0, nu0))
+
+
+def gauss_jordan_full(ops, a: Matrix) -> tuple[Matrix, list[int]]:
+    """Closure of ``a`` over the table ``ops`` and its saturated pivots, by
+    Gauss-Jordan elimination with every scalar update, the pivot column's
+    too: the loop that ``matrices._gauss_jordan`` shortens by the identity
+    a (+) a (x) s* (x) s = a (x) s*, kept as its reference."""
+    n = a.rows
+    m = a.to_rows()
+    saturated = []
+    for k in range(n):
+        skk = ops.star(m[k][k])
+        if skk == ops.top and m[k][k] != ops.top:
+            saturated.append(k)
+        for i in range(n):
+            ik = ops.otimes(m[i][k], skk)
+            if ik == ops.eps:
+                continue
+            for j in range(n):
+                m[i][j] = ops.oplus(m[i][j], ops.otimes(ik, m[k][j]))
+    for i in range(n):
+        m[i][i] = ops.oplus(m[i][i], ops.one)
+    return Matrix(a.semiring, n, n, tuple(chain.from_iterable(m))), saturated

@@ -354,7 +354,8 @@ class TestExitCodes:
         monkeypatch.setattr("dioid.projector.project",
                             lambda a, b, x0: from_rows(ZMAX, [[4], [-6]]))
         assert main(["verify", "project", a, b, x0]) == 1
-        assert capsys.readouterr().err.startswith("dioid: error: oracle disagrees for project:")
+        assert capsys.readouterr().err == ("dioid: error: verify project: oracle disagrees at "
+                                           "entry (1,1): computed 4, oracle 5\n")
 
     def test_shape_error_is_1(self, workdir, capsys):
         _, write = workdir

@@ -55,8 +55,8 @@ from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_b
                             interval_join)
 from dioid.series import parse_series
 
-from conftest import (SCALAR_TABLES, eps_matrix, loop_entries, negate_transpose, rand_matrix,
-                      rand_scalar, rand_series, top_matrix)
+from conftest import (SCALAR_TABLES, eps_matrix, gauss_jordan_full, loop_entries, negate_transpose,
+                      rand_matrix, rand_positive_series, rand_scalar, rand_series, top_matrix)
 
 
 def series_matrix(rows):
@@ -1077,3 +1077,59 @@ class TestSeriesMatrixStar:
             assert mat_otimes(st, mat_otimes(st, x)) == mat_otimes(st, x)
             assert left_residual(st, mat_otimes(st, x)) == mat_otimes(st, x)
             assert mat_otimes(st, left_residual(st, x)) == left_residual(st, x)
+
+
+class TestPivotColumnByIdentity:
+    """``_gauss_jordan`` sets each pivot column to m_ik (x) s*, s the pivot's
+    diagonal entry, since m_ik (+) m_ik (x) s* (x) s = m_ik (x) s* by
+    s* = e (+) s (x) s*.  Against the full loop, which also joins into the
+    pivot column: the same closure and the same saturated pivots."""
+
+    @staticmethod
+    def check(ops, a):
+        assert _gauss_jordan(ops, a) == gauss_jordan_full(ops, a), a
+
+    def test_series_rings(self):
+        # One circuit of monomials t.gn (t, n >= 1) through every node, eps
+        # elsewhere, as the series-algebra benchmark's stars are built.
+        rng = random.Random("pivot-column-rings")
+        for n in range(1, 13):
+            for _ in range(4):
+                order = list(range(n))
+                rng.shuffle(order)
+                rows = [[S_EPS] * n for _ in range(n)]
+                for k in range(n):
+                    rows[order[k]][order[(k + 1) % n]] = from_monomials(
+                        [Monomial(rng.randint(1, 9), rng.randint(1, 4))])
+                self.check(GAMMA, from_rows(GAMMA, rows))
+
+    def test_positive_series_matrices(self):
+        rng = random.Random("pivot-column-series")
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            self.check(GAMMA, from_rows(GAMMA, [
+                [rand_positive_series(rng) if rng.random() < 0.6 else S_EPS for _ in range(n)]
+                for _ in range(n)]))
+
+    def test_monomial_meet_closures(self):
+        rng = random.Random("pivot-column-meets")
+
+        def entry():
+            u = rng.random()
+            return S_EPS if u < 0.15 else S_TOP if u < 0.45 else from_monomials(
+                [Monomial(rng.randint(-4, 4), rng.randint(-3, 3))])
+
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            self.check(_OrderDual(GAMMA), Matrix(GAMMA, n, n, tuple(entry() for _ in range(n * n))))
+
+    def test_criterion_2_example(self):
+        self.check(_OrderDual(GAMMA), B_MONO)
+
+    def test_maxplus_both_orders(self):
+        rng = random.Random("pivot-column-maxplus")
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a = rand_matrix(rng, n, n)
+            self.check(ZMAX, a)
+            self.check(_OrderDual(ZMAX), a)

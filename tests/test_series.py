@@ -34,12 +34,14 @@ from dioid import (
 from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.intervals import IGAMMA, Interval
-from dioid.series import (Series, _pattern_sum, _undominated, format_series, is_monomial,
-                          values)
+from dioid import series as series_module
+from dioid.series import (Series, _canonical, _min_exp, _pattern_sum, _steps, _undominated,
+                          format_series, is_monomial, values)
 from dioid.zmax import TOP
 
 from conftest import (
     SERIES_KINDS,
+    canonical_by_window,
     eval_monomials,
     eval_series,
     rand_positive_series,
@@ -722,6 +724,147 @@ class TestPolynomialJoin:
         assert s_oplus(g("1.g0+top.g5"), g("2.g3+top.g9")) == g("1.g0+2.g3+top.g5")
         assert s_oplus(g("1.g0+top.g300000"), g("5.g2")) == g("1.g0+5.g2+top.g300000")
         assert s_oplus(g("top.g4"), g("3.g1+9.g4")) == g("3.g1+top.g4")
+
+
+class TestPolynomialPeriodicJoin:
+    """A finite polynomial joins a periodic series on steps, with no window:
+    in both orders it equals the window sum of ``_pattern_sum`` and the
+    pointwise max, and keeps that sum's work estimate."""
+
+    def check(self, p, s):
+        got = s_oplus(p, s)
+        assert got == s_oplus(s, p) == _pattern_sum({s.period: list(s.pattern)},
+                                                    list(p.transient + s.transient))
+        assert_pointwise(got, lambda j: zmax.oplus(value_at(p, j), value_at(s, j)), p, s)
+
+    def test_random_pairs(self):
+        rng = random.Random("poly-periodic-join")
+        for _ in range(400):
+            s = rand_series(rng, periodic_bias=1.0, **SERIES_KINDS[rng.choice(["short", "long"])])
+            p = from_monomials([Monomial(rng.randint(-30, 90), rng.randint(-3, 50))
+                                for _ in range(rng.randint(1, 4))])
+            self.check(p, s)
+
+    def test_polynomial_above_several_periods(self):
+        # 5.g1 and 26.g9.(21.g8)* are a join of the benchmark's stars.  200.g3
+        # holds the join from exponent 3 to 100, and 200.g7 from 7 to 33,
+        # about 9 periods of its series.
+        self.check(g("5.g1"), g("26.g9.(21.g8)*"))
+        assert s_oplus(g("5.g1"), g("26.g9.(21.g8)*")) == g("5.g1.(21.g8)*")
+        self.check(g("200.g3"), g("0.g0.(2.g1)*+1.g1.(2.g1)*"))
+        self.check(g("-4.g0+60.g2+200.g7"), g("1.g2+3.g4.(20.g3)*+9.g5.(20.g3)*"))
+
+    def test_equal_exponents(self):
+        # Monomials on the exponents of copies, above, below and equal to them.
+        self.check(g("3.g2+8.g4"), g("0.g0.(2.g2)*"))
+        self.check(g("4.g4"), g("0.g0.(2.g2)*"))
+        self.check(g("1.g2+3.g4+7.g6"), g("0.g0.(2.g2)*"))
+        self.check(g("0.g0"), g("0.g0.(1.g2)*+1.g1.(1.g2)*"))
+
+    def test_top_tailed_polynomial_takes_the_window_sum(self, monkeypatch):
+        p, finite, s = g("5.g1+top.g9"), g("5.g1"), g("0.g0.(1.g1)*")
+        want = g("0.g0+5.g1+6.g6+7.g7+8.g8+top.g9")
+        sums = []
+        pattern_sum = series_module._pattern_sum
+        monkeypatch.setattr(series_module, "_pattern_sum",
+                            lambda *args: sums.append(args) or pattern_sum(*args))
+        assert s_oplus(p, s) == s_oplus(s, p) == want
+        assert len(sums) == 2
+        s_oplus(finite, s)
+        assert len(sums) == 2
+
+    @pytest.mark.parametrize("poly", ["1000000000.g0", "5.g-300000"])
+    def test_far_polynomial_is_refused_at_once(self, poly):
+        for a, b in ((g(poly), g("0.g0.(1.g1)*")), (g("0.g0.(1.g1)*"), g(poly))):
+            start = time.perf_counter()
+            with pytest.raises(DivergenceError, match="pattern with period exponent 1"):
+                s_oplus(a, b)
+            assert time.perf_counter() - start < 1.0
+
+
+class TestStepCanonicaliser:
+    """``_canonical`` on the steps of exact windows against the window
+    canonicalisation it replaced (``canonical_by_window``): the same form,
+    or an AssertionError from both where the claimed recurrence fails."""
+
+    @staticmethod
+    def both(vals, lo, tau, nu, rank):
+        hi = lo + len(vals) - 1
+        try:
+            want = canonical_by_window(vals, lo, tau, nu, rank)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _canonical(*_steps(vals, lo), hi, tau, nu, rank)
+            return None
+        assert _canonical(*_steps(vals, lo), hi, tau, nu, rank) == want, (vals, lo, tau, nu, rank)
+        return want
+
+    @staticmethod
+    def claim(rng, s, scale):
+        """A window of s from below its first exponent, a multiple of its
+        period, and a rank from which that recurrence holds, past the
+        earliest one."""
+        tau, nu = s.period.coeff * scale, s.period.exp * scale
+        rank = s.pattern[0].exp + rng.randint(0, 2 * nu)
+        lo = _min_exp(s) - rng.randint(0, 4)
+        hi = rank + 2 * nu + rng.randint(0, nu)
+        return [value_at(s, j) for j in range(lo, hi + 1)], lo, tau, nu, rank
+
+    def test_periodic_windows(self):
+        # Periods with many divisors (12, 60) and coefficients that leave
+        # tau*nu0/nu fractional for some of them; patterns whose copies are
+        # not all steps; eps prefixes.
+        rng = random.Random("step-canonicaliser")
+        refused = 0
+        for _ in range(2000):
+            nu = rng.choice([1, 2, 3, 4, 6, 12, 12, 60])
+            period = Monomial(rng.choice([1, 2, 5, 7, 12, rng.randint(1, 90)]), nu)
+            s = make_series([Monomial(rng.randint(-30, 10), rng.randint(-5, 10))
+                             for _ in range(rng.randint(0, 3))],
+                            [Monomial(rng.randint(-10, 40), rng.randint(0, nu + 8))
+                             for _ in range(rng.randint(1, 5))], period)
+            vals, lo, tau, nu, rank = self.claim(rng, s, rng.choice([1, 1, 2, 3]))
+            assert self.both(vals, lo, tau, nu, rank) == s
+            # The same window claimed from the last j below the rank where
+            # the recurrence fails: both refuse it.
+            fails = [j for j in range(rank - 1, lo - 1, -1)
+                     if vals[j - lo] is not zmax.EPS and vals[j - lo + nu] != vals[j - lo] + tau]
+            if fails:
+                refused += 1
+                assert self.both(vals, lo, tau, nu, fails[0]) is None
+        assert refused > 500
+
+    @pytest.mark.parametrize("text", ["0.g0.(1.g2)*+1.g1.(1.g2)*", "3.g0.(5.g12)*",
+                                      "2.g1+4.g3.(7.g60)*+9.g30.(7.g60)*", "0.g0.(1.g1)*",
+                                      "-7.g-3+1.g2.(12.g60)*+6.g40.(12.g60)*"])
+    def test_named_windows(self, text):
+        rng = random.Random(text)
+        s = g(text)
+        for scale in (1, 2, 5):
+            for _ in range(20):
+                assert self.both(*self.claim(rng, s, scale)) == s
+
+    def test_polynomial_and_top_windows(self):
+        rng = random.Random("step-canonicaliser-polynomials")
+        for _ in range(300):
+            s = rand_series(rng, periodic_bias=0.0, top_tail=rng.random() < 0.5)
+            last = s.transient[-1].exp
+            lo = _min_exp(s) - rng.randint(0, 3)
+            # A top tail ends the window's series whatever period is claimed
+            # (a meet's); a finite polynomial has none, and needs the rank at
+            # or past its last step.
+            tau, nu = rng.choice([(0, 1), (3, 2)])
+            rank = last + rng.randint(-2, 3)
+            vals = [value_at(s, j) for j in range(lo, rank + 2 * nu + rng.randint(0, 3) + 1)]
+            got = self.both(vals, lo, tau, nu, rank)
+            if s.transient[-1].coeff is TOP:
+                assert got == s
+            else:
+                assert got == (s if tau == 0 and rank >= last else None)
+
+    def test_eps_window(self):
+        assert self.both([zmax.EPS] * 5, -2, 0, 1, 0) == S_EPS
+        assert self.both([zmax.EPS] * 9, -2, 1, 2, 1) == S_EPS
 
 
 class TestOneWindowPerSum:
