@@ -32,15 +32,17 @@ result is ever guessed from a finite prefix.
 Results are read off their staircase steps: ``_canonical`` takes the
 minimal period under which the steps past the proven rank repeat shifted,
 and the earliest rank by walking the breakpoints of s(j) and s(j + nu)
-down from it, in O(steps).  ``_pattern_sum`` drops every copy of several
-(pattern, period) groups, and each transient monomial, into one event array
-over a window sized by the steepest groups, and keeps the steps of its
-running max: a product, a sum of products (a series matrix product entry,
-see ``_otimes_sum``), a join of periodic operands and a literal's terms are
-one sweep each.  ``s_oplus`` merges a finite polynomial with a periodic
-series' copies, and ``from_monomials`` two polynomials, with no window.
-Meets, residuals and stars still compare windows of ints, where eps and
-top sit only at the ends, located, not compared.
+down from it, in O(steps).  Sums carry their terms as (exponent,
+coefficient) pairs.  ``_pattern_sum`` drops several (pattern, period)
+groups and the transient terms into one event array over a window sized
+by the steepest groups, and keeps the steps of its running max: a product,
+a sum of products (``_otimes_sum``), a join and a literal are one sweep
+each.  A group of M terms over n exponents is filled by its copies, about
+M*n/nu steps, or by one pass of its recurrence once that passes n + M.
+``s_oplus`` merges a finite polynomial with a periodic series' copies, with
+no window.  A result's ``Monomial`` and ``Series`` objects are built once,
+unchecked (``_series``): its construction makes the checks hold.  Meets,
+residuals and stars still compare windows of ints.
 
 Operations expect canonical operands, as every constructor function and
 operation returns them.  So a product by a monomial, or a residual by a
@@ -54,11 +56,11 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from operator import attrgetter, itemgetter, sub
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from . import zmax
 from .errors import ParseError, SeriesDomainError, _check_work
-from .zmax import EPS, TOP, Extreme, Frozen, Scalar
+from .zmax import EPS, TOP, Frozen, Scalar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,7 +71,7 @@ class Monomial(Frozen):
 
     __slots__ = ("coeff", "exp")
 
-    def __init__(self, coeff: Union[int, Extreme], exp: int) -> None:
+    def __init__(self, coeff: Scalar, exp: int) -> None:
         _set_coeff(self, coeff)
         _set_exp(self, exp)
 
@@ -146,6 +148,17 @@ class Series(Frozen):
 _set_coeff, _set_exp = Monomial.coeff.__set__, Monomial.exp.__set__
 _set_transient, _set_pattern = Series.transient.__set__, Series.pattern.__set__
 _set_period, _set_all_top = Series.period.__set__, Series.all_top.__set__
+_pair, _exp = attrgetter("exp", "coeff"), itemgetter(0)
+
+
+def _series(transient, pattern=(), period=None) -> Series:
+    """A Series of parts canonical by construction, unchecked."""
+    s = object.__new__(Series)
+    _set_transient(s, transient)
+    _set_pattern(s, pattern)
+    _set_period(s, period)
+    _set_all_top(s, False)
+    return s
 
 S_EPS = Series((), (), None)
 S_TOP = Series((), (), None, all_top=True)
@@ -161,17 +174,13 @@ def is_monomial(s: Series) -> bool:
     return s.period is None and len(s.transient) == 1
 
 
-def _top_tail_exp(s: Series) -> Optional[int]:
-    """Exponent where a polynomial saturates to top, if it does."""
-    if s.transient and s.transient[-1].coeff is TOP:
-        return s.transient[-1].exp
-    return None
+def _top_tailed(s: Series) -> bool:
+    """True for a polynomial that saturates to top."""
+    return bool(s.transient) and s.transient[-1].coeff is TOP
 
 
 def _min_exp(s: Series) -> int:
-    if s.transient:
-        return s.transient[0].exp
-    return s.pattern[0].exp
+    return (s.transient or s.pattern)[0].exp
 
 
 def values(s: Series, lo: int, hi: int) -> list[Scalar]:
@@ -229,7 +238,7 @@ def _extent(vals: list[Scalar]) -> tuple[int, int]:
 
 def _growth(s: Series) -> tuple[int, int, int]:
     """(tau, nu, rank): s(j + nu) = s(j) + tau for every j >= rank."""
-    if s.all_top or is_eps(s):
+    if not (s.transient or s.pattern):  # eps or top
         return (0, 1, 0)
     if s.period is None:
         return (0, 1, s.transient[-1].exp)
@@ -252,18 +261,6 @@ def _steps(vals: list[Scalar], lo: int) -> tuple[list[int], list[Scalar]]:
     return exps, coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    """Divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-    if small[-1] == large[-1]:  # n is a square
-        large.pop()
-    return small + large[::-1]
-
-
 def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int,
                rank: int) -> Series:
     """Canonical form of the series whose steps up to ``hi`` are ``exps``,
@@ -277,17 +274,20 @@ def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int
     if coeffs[-1] is TOP or tau == 0:
         if coeffs[-1] is not TOP and exps[-1] > rank:
             raise AssertionError("a polynomial steps past its proven rank")
-        return Series(tuple(map(Monomial, coeffs, exps)), (), None)
+        return _series(tuple(map(Monomial, coeffs, exps)))
     # A recurrence from an eps value would leave the whole window eps.
     if exps[0] > rank:
         raise AssertionError("the window is eps at the proven rank")
     # Minimal period: the least nu0 | nu with s(j + nu0) = s(j) + tau0 on
     # [rank, hi - nu0]: the steps past rank + nu0, and the value before them,
     # are those past rank shifted.  The c steps of a period fill its nu/nu0
-    # parts alike, so nu/nu0 divides gcd(nu, tau, c).
+    # parts alike, so nu/nu0 divides h = gcd(nu, tau, c): its divisors are
+    # found among 1..h, no more than the steps.
     r = bisect_right(exps, rank)
     h = math.gcd(nu, tau, bisect_right(exps, rank + nu, r) - r)
-    for d in _divisors(h):
+    for d in range(1, h + 1):
+        if h % d:
+            continue
         nu0, tau0 = nu // h * d, tau // h * d
         r0 = bisect_right(exps, rank + nu0, r)
         r1 = bisect_right(exps, hi - nu0, r)
@@ -310,18 +310,18 @@ def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int
     i = bisect_left(exps, j)
     i2 = bisect_left(exps, exps[i] + nu0, i)
     monos = tuple(map(Monomial, coeffs[:i2], exps[:i2]))
-    return Series(monos[:i], monos[i:], Monomial(tau0, nu0))
+    return _series(monos[:i], monos[i:], Monomial(tau0, nu0))
 
 
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _rises(pairs: list[tuple[int, Scalar]]) -> tuple[list[int], list[Scalar]]:
+def _rises(pairs: list) -> tuple[list[int], list[Scalar]]:
     """Exponents and values where the largest of the finite or top values
     ``pairs`` (exponent, value), sorted in place, at or before an exponent
     rises; top ends it."""
-    pairs.sort(key=itemgetter(0))
+    pairs.sort(key=_exp)
     exps, coeffs = [], []
     for e, c in pairs:
         if not coeffs or c is TOP or c > coeffs[-1]:
@@ -337,8 +337,7 @@ def _rises(pairs: list[tuple[int, Scalar]]) -> tuple[list[int], list[Scalar]]:
 
 def from_monomials(monos: Iterable[Monomial]) -> Series:
     """Canonical sum of finitely many monomials (a polynomial)."""
-    exps, coeffs = _rises([(m.exp, m.coeff) for m in monos if m.coeff is not EPS])
-    return Series(tuple(map(Monomial, coeffs, exps)), (), None) if exps else S_EPS
+    return _pattern_sum({}, list(map(_pair, monos)))
 
 
 def pattern_series(monos: Iterable[Monomial], period: Monomial,
@@ -350,17 +349,14 @@ def pattern_series(monos: Iterable[Monomial], period: Monomial,
         raise SeriesDomainError(
             f"period must have positive finite coefficient and exponent, got {period}"
         )
-    return _pattern_sum({period: list(monos)}, list(transient))
+    return _pattern_sum({period: list(map(_pair, monos))}, list(map(_pair, transient)))
 
 
-_by_exp = attrgetter("exp")
-
-
-def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
-    """The finite pattern monomials ``ms`` of one period tau.g(nu) less those
-    another of them dominates: (c1, e1) dominates (c2, e2) when e1 <= e2 and
-    c1 + ((e2 - e1) div nu) * tau >= c2, so its copies lie on or above every
-    copy of the other.
+def _undominated(ms: list, tau: int, nu: int) -> list:
+    """The finite pattern pairs ``ms`` (exponent, coefficient) of one period
+    tau.g(nu) less those another of them dominates: (e1, c1) dominates
+    (e2, c2) when e1 <= e2 and c1 + ((e2 - e1) div nu) * tau >= c2, so its
+    copies lie on or above every copy of the other.
 
     With key c - (e div nu) * tau and r = e mod nu, (e2 - e1) div nu is
     e2 div nu - e1 div nu, less 1 when r1 > r2, so the test is
@@ -372,18 +368,18 @@ def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
     projector-closures'), and those sums ran 5-8% slower with pairs sorted."""
     if len(ms) == 2:
         a, b = ms
-        if a.exp > b.exp:
+        if a[0] > b[0]:
             a, b = b, a
-        if a.coeff + (b.exp - a.exp) // nu * tau >= b.coeff:
+        if a[1] + (b[0] - a[0]) // nu * tau >= b[1]:
             return [a]
-        return [b] if a.exp == b.exp else ms
-    ms = sorted(ms, key=_by_exp)
-    first = ms[0]
-    best, best_r = first.coeff - first.exp // nu * tau, first.exp % nu
-    kept = [first]
+        return [b] if a[0] == b[0] else ms
+    ms = sorted(ms, key=_exp)
+    e, c = ms[0]
+    best, best_r = c - e // nu * tau, e % nu
+    kept = ms[:1]
     for m in ms[1:]:
-        e = m.exp
-        key, r = m.coeff - e // nu * tau, e % nu
+        e, c = m
+        key, r = c - e // nu * tau, e % nu
         if (best if best_r <= r else best - tau) >= key:
             continue
         kept.append(m)
@@ -392,10 +388,29 @@ def _undominated(ms: list[Monomial], tau: int, nu: int) -> list[Monomial]:
     return kept
 
 
-def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Monomial]) -> Series:
+def _recurrence(events: list[int], ms: list, tau: int, nu: int, lo: int) -> list[int]:
+    """``events`` from exponent lo, with the pairs ``ms`` of period tau.g(nu)
+    filled in by one pass of g[i] = max(q[i], g[i - nu] + tau), pairs past
+    the window skipped: their sum q (x) (tau.g(nu))* is the least solution
+    of x = q (+) tau.g(nu) (x) x.  g starts below the events by more than the
+    window's n // nu periods of tau lift it, not at their floor."""
+    n = len(events)
+    g = [min(events) - n * tau] * n
+    for e, c in ms:
+        if e - lo < n and c > g[e - lo]:
+            g[e - lo] = c
+    for i in range(nu, n):
+        c = g[i - nu] + tau
+        if c > g[i]:
+            g[i] = c
+    return list(map(max, events, g))
+
+
+def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     """Canonical join of the polynomial ``transient`` and, for every
-    ``period: pattern`` of ``groups``, the series pattern (x) period*: one
-    event array over one window, whose running max gives the steps.
+    ``period: pattern`` of ``groups``, the series pattern (x) period*, all
+    as (exponent, coefficient) pairs: one event array over one window, whose
+    running max gives the steps.
 
     The steepest groups share the period T.g(v), v the lcm of their
     exponents; from rank0, their last pattern exponent, they are at least
@@ -407,71 +422,72 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     rank, or where a ``top`` coefficient saturates the join.  Within each
     group the monomials another one dominates are dropped first
     (``_undominated``), so they neither size the window nor cost a fill.
+    A group of M monomials over the window's n exponents is filled by its
+    copies, about M*n/nf steps, or once those pass n + M by one
+    ``_recurrence`` pass.
     """
+    if not groups:  # a polynomial
+        exps, coeffs = _rises([m for m in transient if m[1] is not EPS])
+        return _series(tuple(map(Monomial, coeffs, exps))) if exps else S_EPS
     # One pass splits the monomials into finite and top ones, and finds lo
     # and the least finite coefficient.
-    poly: list[Monomial] = []
-    tops: list[Monomial] = []
+    tops = []
     fin = []  # (tau, nu, finite pattern) per group
-    lo = floor = None
+    lo = floor = math.inf  # finite once a group has a finite term
     for r, ms in ((None, transient), *groups.items()):
-        out: list[Monomial] = []
+        out = []
         for m in ms:
-            c = m.coeff
+            e, c = m
             if c is TOP:
                 tops.append(m)
             elif c is not EPS:
                 out.append(m)
-                if lo is None or m.exp < lo:
-                    lo = m.exp
-                if floor is None or c < floor:
+                if e < lo:
+                    lo = e
+                if c < floor:
                     floor = c
         if r is None:
             poly = out
         elif out:
             fin.append((r.coeff, r.exp, _undominated(out, r.coeff, r.exp) if len(out) > 1 else out))
     if not fin:
-        return from_monomials(poly + tops)
+        return _pattern_sum({}, poly + tops)
     if tops:
         # Top from the first top exponent on: the window ends there.
-        rank = min([m.exp for m in tops])
+        rank = min(tops)[0]
         lo = min(lo, rank)
         _check_work("series window", rank + 2 - lo)
         tau, nu, n = 0, 1, rank - lo
     else:
         # The steepest groups share the period (tau, nu); ``rank`` starts at
         # rank0, where each of their monomials has begun, and ``low`` is L.
-        t, e = 0, 1
+        t, v = 0, 1
         for tf, nf, _ in fin:
-            if tf * e > t * nf:
-                t, e = tf, nf
-        nu, rank, flat = 1, lo, []
-        for g in fin:
-            tf, nf, ms = g
-            if tf * e == t * nf:
+            if tf * v > t * nf:
+                t, v = tf, nf
+        nu, rank = 1, lo
+        for tf, nf, ms in fin:
+            if tf * v == t * nf:
                 nu = math.lcm(nu, nf)
-                for m in ms:
-                    if m.exp > rank:
-                        rank = m.exp
-            else:
-                flat.append(g)
-        tau = t * nu // e
+                rank = max(rank, max(ms)[0])
+        tau = t * nu // v
         low = floor
         for tf, nf, ms in fin:
-            if tf * e == t * nf:
-                for m in ms:
-                    c = m.coeff + (rank - m.exp) // nf * tf
+            if tf * v == t * nf:
+                for e, c in ms:
+                    c += (rank - e) // nf * tf
                     if c > low:
                         low = c
         # Past rank0 + k*nu the others add nothing: the recurrence holds, and
         # monomials past the window are dominated.
         k = 0
-        for m in poly:
-            if m.coeff > low + k * tau:
-                k = -(-(m.coeff - low) // tau)
-        for tf, nf, ms in flat:
-            d = max([nf * m.coeff - tf * m.exp for m in ms])
-            k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
+        for _, c in poly:
+            if c > low + k * tau:
+                k = -(-(c - low) // tau)
+        for tf, nf, ms in fin:
+            if tf * v < t * nf:
+                d = max([nf * c - tf * e for e, c in ms])
+                k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
         rank += k * nu
         _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
         n = rank + 2 * nu - lo + 1
@@ -480,16 +496,18 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     floor -= 1
     events = [floor] * n
     for tf, nf, ms in fin:
-        for m in ms:
-            c = m.coeff
-            for i in range(m.exp - lo, n, nf):
+        if len(ms) * n > (n + len(ms)) * nf:
+            events = _recurrence(events, ms, tf, nf, lo)
+            continue
+        for e, c in ms:
+            for i in range(e - lo, n, nf):
                 if c > events[i]:
                     events[i] = c
                 c += tf
-    for m in poly:
-        i = m.exp - lo
-        if i < n and m.coeff > events[i]:
-            events[i] = m.coeff
+    for e, c in poly:
+        i = e - lo
+        if i < n and c > events[i]:
+            events[i] = c
     exps, coeffs = [], []
     cur = floor
     for i, x in enumerate(events):
@@ -503,32 +521,25 @@ def _pattern_sum(groups: dict[Monomial, list[Monomial]], transient: Sequence[Mon
     return _canonical(exps, coeffs, rank + 2 * nu, tau, nu, rank)
 
 
-def make_series(
-    transient: Iterable[Monomial],
-    pattern: Iterable[Monomial] = (),
-    period: Optional[Monomial] = None,
-) -> Series:
+def make_series(transient: Iterable[Monomial], pattern: Iterable[Monomial] = (),
+                period: Optional[Monomial] = None) -> Series:
     """Canonicalize an arbitrary (transient, pattern, period) description."""
-    pattern = tuple(pattern)
-    if period is None:
-        if pattern:
-            raise SeriesDomainError("a pattern requires a period")
-        return from_monomials(transient)
-    return pattern_series(pattern, period, transient)
+    if period is not None:
+        return pattern_series(pattern, period, transient)
+    if tuple(pattern):
+        raise SeriesDomainError("a pattern requires a period")
+    return from_monomials(transient)
 
 
-def _shift_series(s: Series, t: Union[int, Extreme], n: int) -> Series:
+def _shift_series(s: Series, t: Scalar, n: int) -> Series:
     """s scaled by the monomial (t, n): coefficients +t, exponents +n."""
-    if t is EPS or is_eps(s):
-        return S_EPS
-    if s.all_top:
-        return S_TOP
+    if not (s.transient or s.pattern):
+        return s  # eps or top
     if t is TOP:
-        return Series((Monomial(TOP, _min_exp(s) + n),), (), None)
-    transient = tuple(Monomial(m.coeff if m.coeff is TOP else m.coeff + t, m.exp + n)
-                      for m in s.transient)
-    pattern = tuple(Monomial(m.coeff + t, m.exp + n) for m in s.pattern)
-    return Series(transient, pattern, s.period)
+        return _series((Monomial(TOP, _min_exp(s) + n),))
+    return _series(tuple([Monomial(m.coeff if m.coeff is TOP else m.coeff + t, m.exp + n)
+                          for m in s.transient]),
+                   tuple([Monomial(m.coeff + t, m.exp + n) for m in s.pattern]), s.period)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +582,13 @@ def s_oplus(a: Series, b: Series) -> Series:
         _check_work(f"pattern with period exponent {nu}",
                     rank + 2 * nu - min(p.transient[0].exp, _min_exp(s)))
         k = (rank - q[0].exp) // nu + 3
-        pairs = [(m.exp, m.coeff) for m in p.transient + s.transient]
+        pairs = list(map(_pair, p.transient + s.transient))
         pairs += [(m.exp + i * nu, m.coeff + i * tau) for i in range(k) for m in q]
         return _canonical(*_rises(pairs), q[0].exp + k * nu - 1, tau, nu, rank)
-    groups = {s.period: list(s.pattern)}
+    groups = {s.period: list(map(_pair, s.pattern))}
     if p.period is not None:
-        groups.setdefault(p.period, []).extend(p.pattern)
-    return _pattern_sum(groups, a.transient + b.transient)
+        groups.setdefault(p.period, []).extend(map(_pair, p.pattern))
+    return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
 
 
 def s_wedge(a: Series, b: Series) -> Series:
@@ -591,20 +602,21 @@ def s_wedge(a: Series, b: Series) -> Series:
     if b.all_top:
         return a
     lo = min(_min_exp(a), _min_exp(b))
-    ta, tb = _top_tail_exp(a), _top_tail_exp(b)
-    if ta is not None or tb is not None:
-        # Against a saturating series the other one wins its tail; a
-        # saturating polynomial has growth (0, 1) from its top step.
-        tau, nu, _ = _growth(b if ta is not None else a)
-        rank = max(_growth(a)[2], _growth(b)[2])
+    (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
+    rank = max(ra, rb)
+    # Against a saturating series the other one wins its tail; a saturating
+    # polynomial has growth (0, 1) from its top step.
+    if _top_tailed(a):
+        tau, nu = gtb, gnb
+    elif _top_tailed(b):
+        tau, nu = gta, gna
     else:
         # Over the common period nu, from a rank where both recurrences hold
         # and the flatter operand stays at or below the other, the meet
         # follows the flatter one.
-        (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
         nu = math.lcm(gna, gnb)
         tau_a, tau_b = gta * (nu // gna), gtb * (nu // gnb)
-        tau, rank = min(tau_a, tau_b), max(ra, rb)
+        tau = min(tau_a, tau_b)
         if tau_a != tau_b:
             steep, flat = (a, b) if tau_a > tau_b else (b, a)
             # The window reaches past rank + 2nu: refuse it before allocating.
@@ -620,10 +632,11 @@ def s_wedge(a: Series, b: Series) -> Series:
     return a if vals == va else b if vals == vb else _canonical(*_steps(vals, lo), hi, tau, nu, rank)
 
 
-def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list[Monomial]:
-    return [
-        Monomial(zmax.otimes(m.coeff, n.coeff), m.exp + n.exp) for m in ms for n in ns
-    ]
+def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list:
+    """Products of series monomials as (exponent, coefficient) pairs: none
+    holds eps, and top only ends a polynomial."""
+    return [(m.exp + n.exp, TOP if m.coeff is TOP or n.coeff is TOP else m.coeff + n.coeff)
+            for m in ms for n in ns]
 
 
 def s_otimes(a: Series, b: Series) -> Series:
@@ -631,10 +644,8 @@ def s_otimes(a: Series, b: Series) -> Series:
     ``_otimes_sum``, with the shifts below taken first."""
     if is_eps(a) or is_eps(b):
         return S_EPS
-    if a.all_top or b.all_top:
-        return S_TOP
     # A monomial factor only shifts the other operand, and shifting
-    # a canonical form keeps it canonical.
+    # a canonical form keeps it canonical; ``_otimes_sum`` takes top.
     if is_monomial(a):
         return _shift_series(b, a.transient[0].coeff, a.transient[0].exp)
     if is_monomial(b):
@@ -659,15 +670,15 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
     A pair with a top operand (and no eps one) makes the sum top, and the
     pairs after it are not read.
     """
-    poly: list[Monomial] = []
-    groups: dict[Monomial, list[Monomial]] = {}
+    poly: list = []
+    groups: dict[Monomial, list] = {}
     for a, b in pairs:
-        if is_eps(a) or is_eps(b):
-            continue
-        if a.all_top or b.all_top:
-            return S_TOP
         p1, q1, r1 = a.transient, a.pattern, a.period
         p2, q2, r2 = b.transient, b.pattern, b.period
+        if not ((p1 or q1) and (p2 or q2)):  # an eps or top factor
+            if (p1 or q1 or a.all_top) and (p2 or q2 or b.all_top):
+                return S_TOP
+            continue
         poly += _poly_mul(p1, p2)
         if r1 is not None and r2 is not None:
             q12, r, f = _poly_mul(q1, q2), r1, r2
@@ -678,13 +689,13 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
                 # the len(q12) * i monomials, and the window (i - 1)n + 2N
                 # they reach when r is the sum's steepest period.
                 (T, N), (t, n) = (r.coeff, r.exp), (f.coeff, f.exp)
-                _check_work(f"pattern with period exponent {N}", 2 * N)
+                what = f"pattern with period exponent {N}"
+                _check_work(what, 2 * N)
                 i = 1
                 while i * t > i * n // N * T:
                     i += 1
-                _check_work(f"pattern with period exponent {N}",
-                            max(len(q12) * i, (i - 1) * n + 2 * N))
-                q12 = _poly_mul(q12, [Monomial(j * t, j * n) for j in range(i)])
+                _check_work(what, max(len(q12) * i, (i - 1) * n + 2 * N))
+                q12 = [(e + j * n, c + j * t) for e, c in q12 for j in range(i)]
             groups.setdefault(r, []).extend(q12)
         if r2 is not None and p1:
             groups.setdefault(r2, []).extend(_poly_mul(p1, q2))
@@ -695,13 +706,9 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
 
 def s_lres(a: Series, b: Series) -> Series:
     """Greatest x with a (x) x <= b."""
-    if b.all_top:
+    if b.all_top or is_eps(a):
         return S_TOP
-    if is_eps(a):
-        return S_TOP
-    if is_eps(b):
-        return S_EPS
-    if a.all_top:
+    if is_eps(b) or a.all_top:
         return S_EPS
     if is_monomial(a) and a.transient[0].coeff is not TOP:
         # t.gn (x) x <= b iff x(j) <= b(j + n) - t: b shifted back
@@ -713,7 +720,7 @@ def s_lres(a: Series, b: Series) -> Series:
     big_a = gta * (v // gna)
     big_b = gtb * (v // gnb)
     # Neither is all-top here: a top tail is the infinite growth.
-    if _top_tail_exp(b) is None and (_top_tail_exp(a) is not None or big_a > big_b):
+    if not _top_tailed(b) and (_top_tailed(a) or big_a > big_b):
         return S_EPS
 
     na0, nb0 = _min_exp(a), _min_exp(b)
@@ -816,27 +823,20 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
         while j >= 0 and f[j + n_b] == f[j] + t_b:
             j -= 1
         rank = j + 1
-        if horizon >= rank + n_b + w and horizon >= rank + 2 * n_b:
+        if horizon >= rank + n_b + w:  # w >= n_b: two periods past the rank
             return _canonical(*_steps(f, 0), horizon, t_b, n_b, rank)
         horizon *= 2
 
 
 def _poly_star(monos: list[Monomial]) -> Series:
-    """Star of a polynomial with non-negative exponents."""
-    tops = [m for m in monos if m.coeff is TOP]
-    items: list[tuple[int, int]] = []
-    for m in monos:
-        if m.coeff is TOP or m.coeff is EPS:
-            continue
-        if m.coeff <= 0:
-            continue  # dominated by the unit inside the star
-        if m.exp == 0:
-            return from_monomials([Monomial(TOP, 0)])
-        items.append((m.coeff, m.exp))
+    """Star of a polynomial with non-negative exponents: a coefficient at
+    most 0 is dominated by the unit inside the star."""
+    items = [(m.coeff, m.exp) for m in monos if m.coeff is not TOP and m.coeff > 0]
+    if any(n == 0 for _, n in items):
+        return _series((Monomial(TOP, 0),))
+    tops = [m.exp for m in monos if m.coeff is TOP]
     base = _poly_star_core(items) if items else S_ONE
-    if tops:
-        base = s_oplus(base, from_monomials([Monomial(TOP, min(m.exp for m in tops))]))
-    return base
+    return s_oplus(base, _series((Monomial(TOP, min(tops)),))) if tops else base
 
 
 def s_star(s: Series) -> Series:
@@ -854,15 +854,15 @@ def s_star(s: Series) -> Series:
     # is the polynomial top.g0 there is no pattern, and any period serves.
     q = s.pattern
     u = _poly_star(list(q) + [s.period])
-    inner = pattern_series(_poly_mul(q, u.pattern), u.period or s.period,
-                           [Monomial(0, 0)] + _poly_mul(q, u.transient))
+    inner = _pattern_sum({u.period or s.period: _poly_mul(q, u.pattern)},
+                         [(0, 0)] + _poly_mul(q, u.transient))
     head = _poly_star(list(s.transient)) if s.transient else S_ONE
     return s_otimes(head, inner)
 
 
 def sigma_inf(s: Series) -> Union[Fraction, float]:
     """Asymptotic slope nu/tau; +inf for polynomials and eps, -inf for top."""
-    if s.all_top or _top_tail_exp(s) is not None:
+    if s.all_top or _top_tailed(s):
         return -math.inf
     if s.period is None:
         return math.inf
@@ -885,17 +885,13 @@ _TERM_RE = re.compile(
 )
 
 
-def _format_coeff(c: Union[int, Extreme]) -> str:
-    return "top" if c is TOP else str(c)
-
-
 def format_series(s: Series) -> str:
     """Canonical literal, e.g. ``4.g1+7.g4.(18.g1)*``; no whitespace."""
     if s.all_top:
         return "top"
     if is_eps(s):
         return "eps"
-    parts = [f"{_format_coeff(m.coeff)}.g{m.exp}" for m in s.transient]
+    parts = [f"{m.coeff}.g{m.exp}" for m in s.transient]
     if s.period is not None:
         suffix = f".({s.period.coeff}.g{s.period.exp})*"
         parts += [f"{m.coeff}.g{m.exp}{suffix}" for m in s.pattern]
@@ -920,13 +916,14 @@ def parse_series(text: str) -> Series:
             raise ParseError(f"invalid series term {term!r} at offset {offset}")
         terms.append((offset, term, m))
         offset += len(raw) + 1
-    poly: list[Monomial] = []
-    groups: dict[Monomial, list[Monomial]] = {}
+    poly: list = []
+    groups: dict[Monomial, list] = {}
     for offset, term, m in terms:
         if m is None:
-            poly += [Monomial(0, 0)] if term == "e" else []
+            poly += [(0, 0)] if term == "e" else []
             continue
-        mono = Monomial(zmax.parse_scalar(m.group("t")), zmax.parse_int(m.group("n")))
+        c = zmax.parse_scalar(m.group("t"))
+        mono = (zmax.parse_int(m.group("n")), c)
         if m.group("pt") is None:
             poly.append(mono)
             continue

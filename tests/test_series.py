@@ -54,6 +54,11 @@ from conftest import (
 g = parse_series
 
 
+def pairs(monos):
+    """Monomials as the (exponent, coefficient) pairs the internal sums take."""
+    return [(m.exp, m.coeff) for m in monos]
+
+
 def window(*series):
     """Exponent window covering transients plus two periods of every operand."""
     hi = 30
@@ -572,6 +577,41 @@ class TestCanonicalInvariants:
         assert a == b
 
 
+class TestUncheckedResults:
+    """Results are built without the public constructor's checks; rebuilt
+    through ``Series(t, p, r)``, every one is accepted and equal."""
+
+    @staticmethod
+    def rebuilt(s):
+        return Series(s.transient, s.pattern, s.period, s.all_top)
+
+    def test_results_pass_the_constructor(self):
+        rng = random.Random("unchecked-results")
+        operands = 0
+        for i in range(1700):
+            kind = ["short", "long", "top-tail"][i % 3]
+            a = rand_series(rng, **SERIES_KINDS[kind])
+            b = rand_series(rng, **SERIES_KINDS[rng.choice(["short", "long"])])
+            p = rand_positive_series(rng)
+            m = from_monomials([Monomial(rng.randint(-20, 20), rng.randint(-5, 10))])
+            operands += 4
+            results = [s_oplus(a, b), s_wedge(a, b), s_otimes(a, b), s_otimes(b, a), s_star(p),
+                       mono_odot(m, a), mono_dualres(m, b),
+                       parse_series(f"{format_series(a)}+{format_series(b)}")]
+            try:
+                results.append(s_lres(a, b))
+            except DivergenceError:
+                pass
+            for got in results:
+                assert self.rebuilt(got) == got, (format_series(a), format_series(b))
+        assert operands >= 5000
+
+    def test_distinguished_and_shifted_results(self):
+        for got in (S_EPS, S_TOP, s_otimes(g("top.g2"), g("1.g0.(3.g2)*")), g("e"),
+                    s_otimes(g("3.g1"), g("1.g0+top.g4")), s_lres(g("2.g1"), g("5.g0.(1.g3)*"))):
+            assert self.rebuilt(got) == got
+
+
 class TestWindowValues:
     """``values`` sweeps the staircase once; it must agree with the unrolled
     monomial semantics on every kind of window."""
@@ -733,8 +773,8 @@ class TestPolynomialPeriodicJoin:
 
     def check(self, p, s):
         got = s_oplus(p, s)
-        assert got == s_oplus(s, p) == _pattern_sum({s.period: list(s.pattern)},
-                                                    list(p.transient + s.transient))
+        assert got == s_oplus(s, p) == _pattern_sum({s.period: pairs(s.pattern)},
+                                                    pairs(p.transient + s.transient))
         assert_pointwise(got, lambda j: zmax.oplus(value_at(p, j), value_at(s, j)), p, s)
 
     def test_random_pairs(self):
@@ -867,6 +907,83 @@ class TestStepCanonicaliser:
         assert self.both([zmax.EPS] * 9, -2, 1, 2, 1) == S_EPS
 
 
+class TestRecurrenceFill:
+    """A period group whose copies would pass n + M steps is filled by one
+    pass of its recurrence (``_recurrence``), and gives what the copies give."""
+
+    @staticmethod
+    def copies(events, ms, tau, nu, lo):
+        out = list(events)
+        for e, c in ms:
+            for i in range(e - lo, len(out), nu):
+                out[i] = max(out[i], c)
+                c += tau
+        return out
+
+    def test_both_fills_agree(self):
+        # Seeded groups over seeded windows, some pairs past the window, on
+        # floors and on events other groups have filled.
+        rng = random.Random("recurrence-fill")
+        for _ in range(1500):
+            tau, nu = rng.randint(1, 40), rng.choice([1, 1, 2, 3, 5, 12])
+            lo, n = rng.randint(-30, 30), rng.randint(1, 90)
+            floor = rng.randint(-200, 0)
+            ms = [(rng.randint(lo, lo + n + 10), rng.randint(floor + 1, 300))
+                  for _ in range(rng.randint(1, 12))]
+            events = [floor] * n
+            if rng.random() < 0.5:
+                events = [max(floor, rng.randint(-100, 400)) for _ in range(n)]
+            got = series_module._recurrence(events, ms, tau, nu, lo)
+            assert got == self.copies(events, ms, tau, nu, lo), (events, ms, tau, nu, lo)
+
+    def test_both_sides_of_the_fill_rule(self, monkeypatch):
+        # Pairs (i, 2i), i < M, of period 1.g(nu) dominate none of each other
+        # and span the window [0, M + 2nu): the pass runs exactly when
+        # M*n > (n + M)*nu, that is M*M > 2*nu*nu, here for M just past
+        # nu*sqrt(2).  Both sides equal the group-by-group oracle.
+        passes = []
+        fill = series_module._recurrence
+        monkeypatch.setattr(series_module, "_recurrence",
+                            lambda *args: passes.append(args) or fill(*args))
+        sides = set()
+        for nu in range(1, 9):
+            cross = math.isqrt(2 * nu * nu)
+            for m in range(max(1, cross - 1), cross + 3):
+                before = len(passes)
+                ms = [Monomial(2 * i, i) for i in range(m)]
+                TestOneWindowPerSum().check({Monomial(1, nu): ms}, [])
+                ran = len(passes) - before
+                assert ran == (1 if m * m > 2 * nu * nu else 0), (nu, m)
+                if ran:
+                    assert len(passes[-1][0]) == m + 2 * nu
+                sides.add(ran)
+        assert sides == {0, 1}
+
+    def test_random_sums_against_the_oracle(self):
+        rng = random.Random("recurrence-sums")
+        for _ in range(150):
+            period = Monomial(rng.randint(1, 5), rng.randint(1, 4))
+            groups = {period: [Monomial(rng.randint(-10, 60), rng.randint(0, 40))
+                               for _ in range(rng.randint(2, 20))]}
+            if rng.random() < 0.5:
+                groups[Monomial(1, rng.randint(3, 6))] = [Monomial(rng.randint(0, 90), 0)]
+            TestOneWindowPerSum().check(groups, [Monomial(rng.randint(-5, 99), rng.randint(0, 50))
+                                                 for _ in range(rng.randint(0, 2))])
+
+    def test_thousand_term_literal(self):
+        # 101i.g(100i).(1.g1)*, i < 1000: no term dominates another, and the
+        # copies would fill about 1,000 * 100,000 exponents.
+        terms = [f"{101 * i}.g{100 * i}.(1.g1)*" for i in range(1000)]
+        start = time.perf_counter()
+        got = parse_series("+".join(terms))
+        assert time.perf_counter() - start < 1.0
+        parts = [g(t) for t in terms]
+        for j in (-1, 0, 1, 99, 100, 101, 5050, 54321, 99899, 99900, 99901, 100000, 123456):
+            want = max((value_at(p, j) for p in parts), key=lambda v: -1 if v is zmax.EPS else v)
+            assert value_at(got, j) == want == (j + min(j // 100, 999) if j >= 0 else zmax.EPS), j
+        assert got.period == Monomial(1, 1) and len(got.pattern) == 1
+
+
 class TestOneWindowPerSum:
     """``_pattern_sum`` joins a polynomial and several (pattern, period)
     groups in one window: the steepest groups set the period, and each
@@ -882,7 +999,7 @@ class TestOneWindowPerSum:
         return best
 
     def check(self, groups, poly):
-        got = _pattern_sum({r: list(ms) for r, ms in groups.items()}, poly)
+        got = _pattern_sum({r: pairs(ms) for r, ms in groups.items()}, pairs(poly))
         hi = max(m.exp for ms in [poly, *groups.values()] for m in ms)
         hi += 4 * math.lcm(*(r.exp for r in groups)) + 40
         for j in range(-3, hi):
@@ -921,8 +1038,8 @@ class TestOneWindowPerSum:
             self.check(groups, poly)
 
     def test_top_in_a_group_saturates_the_sum(self):
-        got = _pattern_sum({Monomial(1, 1): [Monomial(0, 0), Monomial(TOP, 7)],
-                            Monomial(1, 2): [Monomial(9, 3)]}, [Monomial(30, 9)])
+        got = _pattern_sum({Monomial(1, 1): [(0, 0), (7, TOP)], Monomial(1, 2): [(3, 9)]},
+                           [(9, 30)])
         assert got == g("0.g0+1.g1+2.g2+9.g3+10.g5+top.g7")
 
 
@@ -933,14 +1050,15 @@ class TestDominatedPatternMonomials:
 
     @staticmethod
     def dominates(a, b, period):
-        return a.exp <= b.exp and a.coeff + (b.exp - a.exp) // period.exp * period.coeff >= b.coeff
+        (ea, ca), (eb, cb) = a, b
+        return ea <= eb and ca + (eb - ea) // period.exp * period.coeff >= cb
 
     def test_dropped_monomials_are_dominated_by_kept_ones(self):
         rng = random.Random(151)
         for _ in range(400):
             period = Monomial(rng.randint(1, 6), rng.randint(1, 5))
-            ms = [Monomial(rng.randint(-15, 15), rng.randint(-4, 25))
-                  for _ in range(rng.choice((2, 2, rng.randint(3, 12))))]
+            ms = pairs([Monomial(rng.randint(-15, 15), rng.randint(-4, 25))
+                        for _ in range(rng.choice((2, 2, rng.randint(3, 12))))])
             kept = _undominated(ms, period.coeff, period.exp)
             assert set(kept) <= set(ms)
             if len(ms) == 2:
@@ -956,9 +1074,9 @@ class TestDominatedPatternMonomials:
     def test_residue_decides_domination(self):
         # 0.g3 is not below 4.g5 over period 5.g4: its copy 5.g7 comes after
         # 4.g5.  Keys alone (0 and -1) would drop 4.g5.
-        ms = [Monomial(0, 3), Monomial(4, 5)]
+        ms = [(3, 0), (5, 4)]
         assert _undominated(ms, 5, 4) == ms
-        assert _undominated([Monomial(0, 3), Monomial(4, 7)], 5, 4) == [Monomial(0, 3)]
+        assert _undominated([(3, 0), (7, 4)], 5, 4) == [(3, 0)]
 
     def test_groups_with_many_dominated_monomials(self):
         # Up to 12 monomials per group, many far and dominated, against the
@@ -1017,10 +1135,17 @@ class TestRoadmapRepros:
             assert (eval_series if j < 50 else value_at)(got, j) == want, j
 
 
-def test_divisors_match_brute_force():
-    from dioid.series import _divisors
-    for n in range(1, 2001):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+def test_minimal_period_among_many_divisors():
+    # Windows claimed at k times the period of series whose steps make
+    # h = gcd(nu, tau, steps) a multiple of k: _canonical scans 1..h for
+    # the divisors and must stop at the series' own period.
+    for text in ("0.g0.(4.g4)*+1.g2.(4.g4)*", "0.g0.(1.g1)*", "3.g0.(5.g12)*",
+                 "0.g0.(24.g12)*+1.g1.(24.g12)*+5.g3.(24.g12)*+9.g7.(24.g12)*"):
+        s = g(text)
+        for k in range(1, 121):
+            tau, nu = s.period.coeff * k, s.period.exp * k
+            vals = [value_at(s, j) for j in range(0, 2 * nu + 1)]
+            assert _canonical(*_steps(vals, 0), 2 * nu, tau, nu, 0) == s, (text, k)
 
 
 class TestParseCost:

@@ -238,3 +238,18 @@ class TestExtremesAsValues:
         assert zmax.format_scalar(value) == text
         assert zmax.ZMAX.format(value) == text
         assert zmax.parse_scalar(text) == value
+
+
+class TestExtremeText:
+    """``str``, ``repr``, f-strings and ``format_matrix`` spell eps and top
+    alike: the name is read from the enum field, not its ``value`` property."""
+
+    def test_spellings(self):
+        for x, name in ((EPS, "eps"), (TOP, "top")):
+            assert str(x) == repr(x) == f"{x}" == f"{x!r}" == f"{x!s}" == name
+
+    def test_format_matrix(self):
+        from dioid import ZMAX, format_matrix, from_rows, parse_matrix
+        m = from_rows(ZMAX, [[EPS, TOP, 3], [-1, EPS, TOP]])
+        assert format_matrix(m) == "2 3\neps top 3\n-1 eps top\n"
+        assert parse_matrix(format_matrix(m), ZMAX) == m
