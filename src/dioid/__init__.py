@@ -21,9 +21,9 @@ _EXPORTS = {
     "matrices": "Matrix dual_identity dual_power dual_residual filled from_rows identity "
                 "interval_bounds interval_join kleene_star left_residual mat_leq mat_odot "
                 "mat_oplus mat_otimes mat_wedge right_residual wedge_closure",
-    "oracle": "Grid greatest_subsolution interval_project projector_by_enumeration "
-              "smallest_supersolution star_by_powers",
-    "projector": "check_hypothesis membership project projector_matrix",
+    "oracle": "Grid greatest_subsolution projector_by_enumeration smallest_supersolution "
+              "star_by_powers",
+    "projector": "check_hypothesis interval_project membership project projector_matrix",
     "series": "GAMMA Monomial S_EPS S_ONE S_TOP Series from_monomials make_series mono_dualres "
               "mono_odot parse_series pattern_series s_leq s_lres s_oplus s_otimes s_star "
               "s_wedge sigma_inf",

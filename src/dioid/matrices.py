@@ -709,14 +709,19 @@ def wedge_closure(b: Matrix) -> Matrix:
     _require_square(b, "wedge_closure")
     out, saturated = _closure(b, True)
     if saturated:
-        pivots = ", ".join(str(k + 1) for k in saturated)
-        warnings.warn(
-            f"wedge_closure: strictly decreasing dual circuits close at pivot(s) "
-            f"{pivots}; the entries they reach are eps",
-            DivergenceWarning,
-            stacklevel=2,
-        )
+        _warn_divergence(saturated)
     return out
+
+
+def _warn_divergence(pivots: list[int]) -> None:
+    """The ``DivergenceWarning`` of meet closures that saturated at the
+    0-based ``pivots``, attributed to the caller of the closing function."""
+    warnings.warn(
+        f"wedge_closure: strictly decreasing dual circuits close at pivot(s) "
+        f"{', '.join(str(k + 1) for k in pivots)}; the entries they reach are eps",
+        DivergenceWarning,
+        stacklevel=3,
+    )
 
 
 def interval_bounds(a: Matrix) -> tuple[Matrix, Matrix]:

@@ -1,17 +1,12 @@
-"""Independent verifiers: brute force over max-plus matrices, and the
-two-bound interval projector.
+"""Independent brute-force verifiers over max-plus matrices.
 
-The brute-force functions never call the residuation or closure routines
-they are meant to check: they enumerate a finite scalar grid or accumulate
-explicit matrix powers.  They back the test suite and the CLI ``verify``
-command, and are restricted to max-plus scalars.  A bounded grid certifies
-the residuals' extremality after clamping, and the projector's only when the
-projection lies on the grid.
-
-``interval_project`` cross-checks ``project`` over interval matrices.  It
-reuses the base-type kernels on explicit bound matrices and writes the
-order corrections out by hand, where ``project`` gets them from the interval
-matrix kernels.
+They never call the residuation or closure routines they are meant to
+check: they enumerate a finite scalar grid or accumulate explicit matrix
+powers.  They back the test suite and the CLI ``verify`` command, and are
+restricted to max-plus scalars.  A bounded grid certifies the residuals'
+extremality only up to clamping to the grid, and the projector's only when
+the projection lies on the grid.  Each one checks its estimated work against
+the cap before it starts.
 """
 
 from __future__ import annotations
@@ -19,21 +14,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import zmax
-from .errors import HypothesisError, ShapeError, _check_work
-from .matrices import (
-    Matrix,
-    dual_residual,
-    identity,
-    interval_bounds,
-    interval_join,
-    kleene_star,
-    left_residual,
-    mat_oplus,
-    mat_otimes,
-    mat_wedge,
-    wedge_closure,
-)
-from .projector import _refused_entry, check_hypothesis
+from .errors import ShapeError, _check_work
+from .matrices import Matrix, identity, mat_oplus, mat_otimes
 from .zmax import EPS, TOP, Frozen, Scalar, ZMAX
 
 
@@ -149,6 +131,8 @@ def star_by_powers(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise ShapeError("star_by_powers: requires a square matrix")
     n = a.rows
+    # n products of n^2 entries each.
+    _check_work("star_by_powers", n ** 3)
     total = identity(ZMAX, n)
     power = identity(ZMAX, n)
     hot = set()
@@ -213,32 +197,3 @@ def projector_by_enumeration(a: Matrix, b: Matrix, x0: Matrix, grid: Grid) -> Ma
         cols.append(best)
     entries = tuple(cols[j][i] for i in range(n) for j in range(x0.cols))
     return Matrix(ZMAX, n, x0.cols, entries)
-
-
-def interval_project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
-    """Interval projector via the explicit two-bound formula.
-
-    With G = B_lo* %% A_lo* and H = G (+) (B_hi* %% A_hi*):
-
-        upper = H* \\ X0_hi
-        lower = (G* \\ X0_lo) ^ upper
-
-    This agrees with running ``project`` on the interval matrices.  A
-    refused B raises ``HypothesisError`` naming its first refused entry and
-    the bound that fails there.
-    """
-    a_lo, a_hi = interval_bounds(a)
-    b_lo, b_hi = interval_bounds(b)
-    x_lo, x_hi = interval_bounds(x0)
-    if not check_hypothesis(b):
-        where, e = _refused_entry(b)
-        bound = "upper" if b_lo.semiring.odot_left_ok(e.lo) else "lower"
-        raise HypothesisError(
-            f"projector: the associativity condition fails for the {bound} bound of B "
-            f"at {where}"
-        )
-    g_lo = dual_residual(wedge_closure(b_lo), kleene_star(a_lo))
-    g_hi = dual_residual(wedge_closure(b_hi), kleene_star(a_hi))
-    upper = left_residual(kleene_star(mat_oplus(g_lo, g_hi)), x_hi)
-    lower = mat_wedge(left_residual(kleene_star(g_lo), x_lo), upper)
-    return interval_join(a.semiring, lower, upper)

@@ -21,6 +21,7 @@ from dioid import zmax
 from dioid.errors import ShapeError
 from dioid.matrices import (Matrix, _cols, dual_residual, left_residual, mat_odot, mat_otimes,
                             right_residual)
+from dioid.projector import projector_matrix
 from dioid.series import Series
 from dioid.zmax import Scalar
 
@@ -36,6 +37,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 # ---------------------------------------------------------------------------
 # max-plus randomness
 # ---------------------------------------------------------------------------
+
+
+def kernel_project(a: Matrix, b: Matrix, x0: Matrix) -> Matrix:
+    """The projector composed of five matrix kernels, as ``project`` runs it
+    over the base types.  On interval matrices each kernel runs bound by
+    bound with the residuals' order corrections, checked bound by bound in
+    test_intervals.py: a path apart from ``interval_project``, which splits
+    the operands and joins the result once."""
+    return left_residual(projector_matrix(a, b), x0)
 
 
 def rand_scalar(rng: random.Random, lo: int = -9, hi: int = 9, p_eps: float = 0.15,

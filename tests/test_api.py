@@ -30,8 +30,11 @@ def test_public_names_are_pinned():
     assert sorted(dioid.__all__) == PUBLIC
 
 
-def test_interval_cross_check_lives_in_the_oracle():
-    assert dioid.interval_project.__module__ == "dioid.oracle"
+def test_interval_project_lives_in_the_projector():
+    assert dioid.interval_project is dioid.projector.interval_project
+    assert dioid.interval_project.__module__ == "dioid.projector"
+    assert dioid.interval_project is not dioid.project
+    assert not hasattr(dioid.oracle, "interval_project")
 
 
 def test_every_public_name_resolves():

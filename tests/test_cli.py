@@ -312,6 +312,28 @@ class TestExitCodes:
         assert err.startswith(f"dioid: error: {oracle}: estimated work ")
         assert err.count("\n") == 1
 
+    @staticmethod
+    def _square(write, n):
+        rng = random.Random(n)
+        rows = [" ".join("eps" if rng.random() < 0.7 else str(rng.randint(-9, 0))
+                         for _ in range(n)) for _ in range(n)]
+        return write(f"s{n}.mat", f"{n} {n}\n" + "\n".join(rows) + "\n")
+
+    def test_verify_star_past_the_work_cap_is_1(self, workdir, capsys):
+        # n products of n^2 entries: n = 65 passes the cap of 2^18.
+        _, write = workdir
+        m = self._square(write, 65)
+        start = time.perf_counter()
+        assert main(["verify", "star", m]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "dioid: error: star_by_powers: estimated work 274625 is past the cap 262144\n"
+
+    def test_verify_star_at_the_work_cap_agrees(self, workdir, capsys):
+        _, write = workdir
+        assert main(["verify", "star", self._square(write, 64)]) == 0
+        assert capsys.readouterr() == ("verify star: oracle agrees\n", "")
+
     def test_verify_project_size_is_bounded_by_work(self, workdir, capsys):
         # n = 2 enumerates every column; n = 3 passes the cap on the default grid.
         _, write = workdir
@@ -505,6 +527,18 @@ class TestLaunch:
         assert (run.returncode, run.stdout) == (0, "eps top\ntop eps\n")
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("dioid: warning: wedge_closure: "), lines
+
+    def test_interval_project_warning_is_one_line(self, workdir):
+        # Both bounds of B close decreasing dual circuits at both pivots.
+        _, write = workdir
+        a = write("a.mat", "2 2\neps eps\neps eps\n")
+        b = write("b.mat", "2 2\n[-1,0] top\ntop [-3,-2]\n")
+        x0 = write("x0.mat", "2 1\n5\n5\n")
+        run = run_python("-m", "dioid.cli", "project", a, b, x0, "--type", "interval-maxplus")
+        assert (run.returncode, run.stdout) == (0, "[eps,eps]\n[eps,eps]\n")
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dioid: warning: wedge_closure: "), lines
+        assert "pivot(s) 1, 2;" in lines[0]
 
     def test_prod_loads_neither_the_oracle_nor_dataclasses(self, workdir):
         _, write = workdir

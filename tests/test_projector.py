@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
@@ -29,11 +30,12 @@ from dioid import (
     project,
     wedge_closure,
 )
-from dioid.errors import HypothesisError, ShapeError
+from dioid.errors import DivergenceWarning, HypothesisError, ShapeError
 from dioid.matrices import Matrix
 from dioid.series import parse_series
 
-from conftest import eps_matrix, rand_matrix, rand_positive_series, rand_series, top_matrix
+from conftest import (eps_matrix, kernel_project, rand_matrix, rand_positive_series, rand_series,
+                      top_matrix)
 
 
 def series_matrix(rows):
@@ -180,13 +182,13 @@ class TestProjectSeries:
         b = im(["top top", row])
         x0 = im(["5.g0", "5.g0"])
         entry = row.split()[0]
-        with pytest.raises(HypothesisError) as exc:
-            interval_project(a, b, x0)
-        assert str(exc.value) == ("projector: the associativity condition fails for the "
-                                  f"{bound} bound of B at entry (2,1) = {entry}")
-        with pytest.raises(HypothesisError) as exc:
-            project(a, b, x0)
-        assert f"fails for B at entry (2,1) = {entry} (" in str(exc.value)
+        for run in (project, interval_project):
+            with pytest.raises(HypothesisError) as exc:
+                run(a, b, x0)
+            assert str(exc.value) == (
+                f"projector: the associativity condition fails for the {bound} bound of B "
+                f"at entry (2,1) = {entry} (over series all entries must be eps, top or "
+                "finite monomials)")
 
     def test_monomial_problem_runs(self):
         a = series_matrix(["eps 1.g1", "eps eps"])
@@ -210,7 +212,22 @@ class TestIntervalProjector:
             pi = project(ai, bi, xi)
             lo, hi = interval_bounds(pi)
             assert lo == p and hi == p
-            assert interval_project(ai, bi, xi) == pi
+            assert pi == kernel_project(ai, bi, xi)
+
+    @pytest.mark.parametrize("run", [project, interval_project], ids=["project", "interval_project"])
+    def test_diverging_bounds_warn_once(self, run):
+        # Each bound of B closes a decreasing dual circuit at both pivots:
+        # the two bounds' pivots make one warning.
+        def im(rows):
+            return from_rows(IZMAX, [[IZMAX.parse(t) for t in r.split()] for r in rows])
+
+        b = im(["[-1,0] top", "top [-3,-2]"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = run(eps_matrix(IZMAX, 2, 2), b, im(["5", "5"]))
+        assert p == eps_matrix(IZMAX, 2, 1)
+        assert [w.category for w in caught] == [DivergenceWarning]
+        assert "pivot(s) 1, 2;" in str(caught[0].message)
 
     def test_explicit_formula_agrees_with_generic_path(self):
         from dioid import zmax as zm
@@ -232,7 +249,7 @@ class TestIntervalProjector:
             ai = interval_join(IZMAX, alo, widen(alo, bump_a))
             bi = interval_join(IZMAX, b_lo, widen(b_lo, bump_a))
             xi = interval_join(IZMAX, xlo, widen(xlo, bump_x))
-            assert interval_project(ai, bi, xi) == project(ai, bi, xi)
+            assert project(ai, bi, xi) == kernel_project(ai, bi, xi)
 
     # Random monomial bounds of B often close strictly decreasing dual circuits.
     @pytest.mark.filterwarnings("ignore::dioid.errors.DivergenceWarning")
@@ -257,7 +274,7 @@ class TestIntervalProjector:
             x0 = from_rows(IGAMMA, [[ordered(rand_series(rng), rand_series(rng))]
                                     for _ in range(2)])
             p = project(a, b, x0)
-            assert interval_project(a, b, x0) == p
+            assert p == kernel_project(a, b, x0)
             assert mat_leq(p, x0)
             assert membership(a, b, p)
 
@@ -269,7 +286,7 @@ class TestIntervalProjector:
             bi = interval_join(IZMAX, b_lo, b_lo)
             xi = interval_join(IZMAX, xlo, xlo)
             p = project(ai, bi, xi)
-            assert interval_project(ai, bi, xi) == p
+            assert p == kernel_project(ai, bi, xi)
             assert mat_leq(p, xi)
             assert membership(ai, bi, p)
             assert project(ai, bi, p) == p
@@ -294,7 +311,7 @@ class TestIntervalProjector:
         ])
         x0 = im(["[10,14]"] * 5)
         p = project(a, b, x0)
-        assert interval_project(a, b, x0) == p
+        assert p == kernel_project(a, b, x0)
         assert not membership(a, b, x0)
         assert membership(a, b, p)
         assert mat_otimes(kleene_star(a), p) == p
