@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": "DioidError DivergenceError DivergenceWarning HypothesisError IntervalOrderError "
               "ParseError SeriesDomainError ShapeError",
     "intervals": "IGAMMA IZMAX Interval IntervalSemiring",
-    "matrices": "Matrix dual_identity dual_power dual_residual filled from_rows identity "
+    "matrices": "Matrix dual_residual filled from_rows identity "
                 "interval_bounds interval_join kleene_star left_residual mat_leq mat_odot "
                 "mat_oplus mat_otimes mat_wedge right_residual wedge_closure",
     "oracle": "Grid greatest_subsolution projector_by_enumeration smallest_supersolution "

@@ -210,15 +210,6 @@ def identity(semiring, n: int) -> Matrix:
     )
 
 
-def dual_identity(semiring, n: int) -> Matrix:
-    return Matrix(
-        semiring,
-        n,
-        n,
-        tuple(semiring.one if i == j else semiring.top for i in range(n) for j in range(n)),
-    )
-
-
 def _require_same_shape(a: Matrix, b: Matrix, what: str) -> None:
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError(
@@ -762,11 +753,3 @@ def _by_bounds(kernel, *mats: Matrix, meet_lower: bool = False,
         hi = mat_oplus(lo, hi)
     return interval_join(mats[0].semiring, lo, hi)
 
-
-def dual_power(b: Matrix, k: int) -> Matrix:
-    """k-th dual power, with the dual identity as the zeroth power."""
-    _require_square(b, "dual_power")
-    acc = dual_identity(b.semiring, b.rows)
-    for _ in range(k):
-        acc = mat_odot(b, acc)
-    return acc

@@ -29,24 +29,27 @@ the operands (a dominance rank for joins, a crossing bound for meets, shift
 arguments for residuals, a verified recurrence window for stars), so no
 result is ever guessed from a finite prefix.
 
-Results are read off their staircase steps: ``_canonical`` takes the
-minimal period under which the steps past the proven rank repeat shifted,
-and the earliest rank by walking the breakpoints of s(j) and s(j + nu)
-down from it, in O(steps).  Sums carry their terms as (exponent,
-coefficient) pairs.  ``_pattern_sum`` drops several (pattern, period)
-groups and the transient terms into one event array over a window sized
-by the steepest groups, and keeps the steps of its running max: a product,
-a sum of products (``_otimes_sum``), a join and a literal are one sweep
-each.  A group of M terms over n exponents is filled by its copies, about
-M*n/nu steps, or by one pass of its recurrence once that passes n + M.
-``s_oplus`` merges a finite polynomial with a periodic series' copies, with
-no window.  A result's ``Monomial`` and ``Series`` objects are built once,
-unchecked (``_series``): its construction makes the checks hold.  Meets,
-residuals and stars still compare windows of ints.
+Every window is a step list: the exponents where a series rises and its
+values there, as ``_walk`` lists them (transient, then pattern copies) and
+as ``_canonical`` reads a result off them: the minimal period under which
+the steps past the proven rank repeat shifted, and the earliest rank by
+walking the breakpoints of s(j) and s(j + nu) down from it.  A meet
+merges both operands' steps, and a residual is a min over the numerator's
+steps, read only where a term steps: both count their work in steps, not
+in exponents spanned.  Sums carry their terms as (exponent, coefficient) pairs:
+``_pattern_sum`` drops several (pattern, period) groups and the transient
+terms into one event array over a window sized by the steepest groups, and
+keeps the steps of its running max, so a product, a sum of products
+(``_otimes_sum``), a join and a literal are one sweep each; a group of M
+terms over n exponents costs about M*n/nu steps, or n + M by its
+recurrence.  ``s_oplus`` merges a finite polynomial with a periodic
+series' copies, and where a sum's window would pass the cap it asks the
+step meet whether one operand dominates the other.  Results are built once, unchecked
+(``_series``): their construction makes the checks hold.
 
 Operations expect canonical operands, as every constructor function and
 operation returns them.  So a product by a monomial, or a residual by a
-finite one, shifts the other operand, and a meet whose window equals an
+finite one, shifts the other operand, and a meet whose steps are an
 operand's returns that operand, without rebuilding either.
 """
 
@@ -55,11 +58,11 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from . import zmax
-from .errors import ParseError, SeriesDomainError, _check_work
+from .errors import DivergenceError, ParseError, SeriesDomainError, _check_work
 from .zmax import EPS, TOP, Frozen, Scalar
 
 if TYPE_CHECKING:
@@ -183,59 +186,6 @@ def _min_exp(s: Series) -> int:
     return (s.transient or s.pattern)[0].exp
 
 
-def values(s: Series, lo: int, hi: int) -> list[Scalar]:
-    """Exact coefficients on the exponent window [lo, hi].
-
-    One sweep over the staircase steps at or below ``hi``: the transient,
-    then the pattern copies.  Each step raises a running maximum and the
-    constant run before it is filled in one list operation, so the cost is
-    O(window + steps).
-    """
-    if hi < lo:
-        return []
-    if s.all_top:
-        return [TOP] * (hi - lo + 1)
-    out: list[Scalar] = []
-    cur: Scalar = EPS
-    pos = lo  # first exponent not yet in ``out``
-    for m in s.transient:
-        e = m.exp
-        if e > hi:
-            break
-        if e > pos:
-            out += [cur] * (e - pos)
-            pos = e
-        cur = m.coeff  # the constructor keeps these strictly increasing
-    if s.period is not None:
-        tau, nu = s.period.coeff, s.period.exp
-        base, shift = s.pattern[0].exp, 0
-        pat = [(m.exp - base, m.coeff) for m in s.pattern]
-        while base <= hi:
-            for off, c in pat:
-                e = base + off
-                if e > hi:
-                    break
-                if e > pos:
-                    out += [cur] * (e - pos)
-                    pos = e
-                c += shift
-                if cur is EPS or c > cur:
-                    cur = c
-            base += nu
-            shift += tau
-    out += [cur] * (hi + 1 - pos)
-    return out
-
-
-def _extent(vals: list[Scalar]) -> tuple[int, int]:
-    """(e, t) for a non-decreasing window: eps before index e, top from t on."""
-    n = len(vals)
-    e = 0
-    while e < n and vals[e] is EPS:
-        e += 1
-    return e, (vals.index(TOP) if n and vals[-1] is TOP else n)
-
-
 def _growth(s: Series) -> tuple[int, int, int]:
     """(tau, nu, rank): s(j + nu) = s(j) + tau for every j >= rank."""
     if not (s.transient or s.pattern):  # eps or top
@@ -245,28 +195,65 @@ def _growth(s: Series) -> tuple[int, int, int]:
     return (s.period.coeff, s.period.exp, s.pattern[0].exp)
 
 
-def _steps(vals: list[Scalar], lo: int) -> tuple[list[int], list[Scalar]]:
-    """Exponents and values where the window ``vals``, first exponent ``lo``,
-    changes value: eps before the first, and top, if reached, last.  A
-    change must be an increase."""
+def _walk(s: Series, hi: int) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where s rises, at or below ``hi``; top, if
+    reached, last.  ``s`` is not all-top.
+
+    The monomials of ``transient + pattern`` all rise.  A later copy of a
+    pattern monomial rises above the copy before it iff its coefficient
+    passes the pattern's last one less tau, the same test in every period:
+    those copies follow, one period at a time, once their count is checked."""
+    ms = s.transient + s.pattern
+    exps = [m.exp for m in ms]
+    coeffs = [m.coeff for m in ms]
+    if s.period is not None and exps[-1] <= hi:
+        tau, nu = s.period.coeff, s.period.exp
+        c_last = coeffs[-1] - tau
+        rest = [m for m in s.pattern if m.coeff > c_last]
+        n = (hi - rest[0].exp) // nu
+        _check_work("series steps", n * len(rest))
+        exps += [m.exp + k for k in range(nu, n * nu + 1, nu) for m in rest]
+        coeffs += [m.coeff + k for k in range(tau, n * tau + 1, tau) for m in rest]
+    if exps and exps[-1] > hi:
+        i = bisect_right(exps, hi)
+        del exps[i:], coeffs[i:]
+    return exps, coeffs
+
+
+def _min_steps(a: tuple, b: tuple) -> tuple[list[int], list[Scalar]]:
+    """Steps of the pointwise min of two step lists: eps until both have
+    begun, then the lower value, top being the neutral one."""
+    (ea, ca), (eb, cb) = a, b
+    na, nb = len(ea), len(eb)
     exps, coeffs = [], []
-    prev = EPS
-    for i, v in enumerate(vals):
-        if v != prev:
-            if prev is TOP or coeffs and v is not TOP and v < prev:
-                raise AssertionError("series values must be non-decreasing")
-            exps.append(lo + i)
-            coeffs.append(v)
-            prev = v
+    i = j = 0
+    x = y = last = EPS
+    while i < na or j < nb:
+        if j == nb or i < na and ea[i] < eb[j]:
+            e, x = ea[i], ca[i]
+            i += 1
+        else:
+            e, y = eb[j], cb[j]
+            j += 1
+            if i < na and ea[i] == e:
+                x = ca[i]
+                i += 1
+        if x is EPS or y is EPS:
+            continue
+        m = y if x is TOP else x if y is TOP or x <= y else y
+        if m != last:
+            exps.append(e)
+            coeffs.append(m)
+            last = m
     return exps, coeffs
 
 
 def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int,
                rank: int) -> Series:
     """Canonical form of the series whose steps up to ``hi`` are ``exps``,
-    ``coeffs`` (as ``_steps`` gives them), where hi >= rank + 2*nu and
-    s(j + nu) = s(j) + tau for j >= rank; the checks below catch a caller
-    whose proof of that recurrence is wrong."""
+    ``coeffs`` (rises only, top last, as ``_walk`` lists them), where
+    hi >= rank + 2*nu and s(j + nu) = s(j) + tau for j >= rank; the checks
+    below catch a caller whose proof of that recurrence is wrong."""
     if hi < rank + 2 * nu:
         raise AssertionError("window ends before two periods past the rank")
     if not exps:
@@ -546,20 +533,6 @@ def _shift_series(s: Series, t: Scalar, n: int) -> Series:
 # Semiring operations
 # ---------------------------------------------------------------------------
 
-def _meet(va: list[Scalar], vb: list[Scalar]) -> list[Scalar]:
-    """Pointwise min of two windows: top is neutral and eps absorbs."""
-    (ea, ta), (eb, tb) = _extent(va), _extent(vb)
-    if ta > tb:
-        va, vb, ea, eb, ta, tb = vb, va, eb, ea, tb, ta
-    e = max(ea, eb)
-    out: list[Scalar] = [EPS] * e
-    if e < ta:
-        out += [x if x <= y else y for x, y in zip(va[e:ta], vb[e:ta])]
-    out += vb[max(e, ta):tb]  # b alone once a is top
-    out += [TOP] * (len(vb) - tb)
-    return out
-
-
 def s_oplus(a: Series, b: Series) -> Series:
     """Least upper bound: pointwise max.  A finite polynomial p joins a
     periodic s on steps, with ``_pattern_sum``'s rank and work estimate."""
@@ -588,22 +561,30 @@ def s_oplus(a: Series, b: Series) -> Series:
     groups = {s.period: list(map(_pair, s.pattern))}
     if p.period is not None:
         groups.setdefault(p.period, []).extend(map(_pair, p.pattern))
-    return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
+    try:
+        return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
+    except DivergenceError:
+        # Two periods whose lcm outruns the cap: when their meet, counted in
+        # steps, is one operand, the join is the other.
+        m = s_wedge(a, b) if p.period is not None else None
+        if m is a or m is b:
+            return b if m is a else a
+        raise
 
 
 def s_wedge(a: Series, b: Series) -> Series:
-    """Greatest lower bound: pointwise min.  When the meet's window is an
-    operand's, that operand is the result: both follow the recurrence past
-    the window, and canonical forms are unique."""
+    """Greatest lower bound: pointwise min, merged from both operands' steps.
+    When the merged steps are an operand's, that operand is the result: both
+    follow the recurrence past the window, and canonical forms are unique."""
     if is_eps(a) or is_eps(b):
         return S_EPS
     if a.all_top:
         return b
     if b.all_top:
         return a
-    lo = min(_min_exp(a), _min_exp(b))
     (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
     rank = max(ra, rb)
+    flat = None
     # Against a saturating series the other one wins its tail; a saturating
     # polynomial has growth (0, 1) from its top step.
     if _top_tailed(a):
@@ -618,18 +599,21 @@ def s_wedge(a: Series, b: Series) -> Series:
         tau_a, tau_b = gta * (nu // gna), gtb * (nu // gnb)
         tau = min(tau_a, tau_b)
         if tau_a != tau_b:
-            steep, flat = (a, b) if tau_a > tau_b else (b, a)
-            # The window reaches past rank + 2nu: refuse it before allocating.
-            # Past both ranks the values are finite.
-            _check_work("series window", rank + 2 * nu - lo)
-            d = max(map(sub, values(flat, rank, rank + nu - 1), values(steep, rank, rank + nu - 1)))
-            if d > 0:
-                rank += (d // abs(tau_a - tau_b) + 1) * nu
+            flat = b if tau_a > tau_b else a
     hi = rank + 2 * nu
-    _check_work("series window", hi - lo)
-    va, vb = values(a, lo, hi), values(b, lo, hi)
-    vals = _meet(va, vb)
-    return a if vals == va else b if vals == vb else _canonical(*_steps(vals, lo), hi, tau, nu, rank)
+    wa, wb = _walk(a, hi), _walk(b, hi)
+    if flat is not None:
+        # The largest gap flat - steep over one period from the rank, where
+        # both are finite, is read at the rank and at the steps after it.
+        (fe, fc), (se, sc) = (wa, wb) if flat is a else (wb, wa)
+        d = max([fc[bisect_right(fe, j) - 1] - sc[bisect_right(se, j) - 1]
+                 for j in (rank, *fe, *se) if rank <= j < rank + nu])
+        if d > 0:
+            rank += (d // abs(tau_a - tau_b) + 1) * nu
+            hi = rank + 2 * nu
+            wa, wb = _walk(a, hi), _walk(b, hi)
+    w = _min_steps(wa, wb)
+    return a if w == wa else b if w == wb else _canonical(*w, hi, tau, nu, rank)
 
 
 def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list:
@@ -728,31 +712,45 @@ def s_lres(a: Series, b: Series) -> Series:
     lo = nb0 - na0 - 1
     hi = rank_x + 2 * v
     k_hi = max(ra, rb - lo) + v
-    # b's window is the largest: the output window plus a's terms.
-    _check_work("series window", hi + k_hi - na0 - lo)
-    a_vals = values(a, na0, k_hi)
-    b_vals = values(b, lo + na0, hi + k_hi)
-    ta = _extent(a_vals)[1]  # a_vals starts at a's first step: never eps
-    eb, tb = _extent(b_vals)
-    # Offsets of a's steps in a_vals, and their values, while a is finite.
-    ks, cs = _steps(a_vals[:ta], 0)
-    _check_work("residual sweep (window x steps)", (hi - lo + 1) * len(ks))
-
-    # x(j) = min over k in [na0, k_max] of b(j + k) - a(k), with i = j - lo
-    # the offset of b(j + na0) in b_vals.  A first term with b eps is eps.
-    # Terms where b is top are top, the unit of the meet, so the range stops
-    # at b's top; a term where a is top before that is eps.  Within a run
-    # where a is constant the first k gives the least term, as b does not
-    # decrease; so only a's steps below the stop count.
-    out: list[Scalar] = []
-    for i, j in enumerate(range(lo, hi + 1)):
-        m = min(max(ra, rb - j) + v - na0 + 1, tb - i)  # terms k = na0 .. na0 + m - 1
-        if i < eb or m > ta:
-            out.append(EPS)
-        else:
-            out.append(min([b_vals[i + k] - c for k, c in zip(ks[:bisect_left(ks, m)], cs)],
-                           default=TOP))
-    return _canonical(*_steps(out, lo), hi, big_b, v, rank_x)
+    # x(j) = min over k >= na0 of b(j + k) - a(k) needs the terms up to
+    # k <= max(ra, rb - j) + v: past them a period of a adds big_a and one
+    # of b big_b >= big_a.  So a's steps up to k_hi, and b's up to hi + k_hi,
+    # give every term x needs on the window.  Within a run where a is
+    # constant the first k gives the least term, as b does not decrease.
+    ea, ca = _walk(a, k_hi)
+    eb, cb = _walk(b, hi + k_hi)
+    # x is eps up to lo, where b(j + na0) is, and steps only where a term
+    # does: at j = e - k for a step k of a and e of b.  Each candidate past
+    # lo, or each exponent when those are fewer, is a min over a's steps.
+    n = len(ea)
+    _check_work("residual sweep (steps x candidates)", n * min(hi - lo, n * len(eb)))
+    if n * len(eb) < hi - lo:
+        js = sorted({e - k for k in ea
+                     for e in eb[bisect_left(eb, lo + 1 + k):bisect_right(eb, hi + k)]})
+    else:
+        js = range(lo + 1, hi + 1)
+    # Terms where b is top are top, the unit of the meet; a term where a is
+    # top is eps until b is top there too, and so is x.
+    b_top = math.inf
+    if cb[-1] is TOP:
+        b_top = eb.pop()
+        cb.pop()
+    if ca[-1] is TOP:
+        ca.pop()
+        js = js[bisect_left(js, b_top - ea.pop()):]
+    nj, inf = len(js), math.inf
+    cols = [[inf] * nj]
+    for k, c in zip(ea, ca):
+        m = bisect_left(js, b_top - k)
+        cols.append([cb[bisect_right(eb, j + k) - 1] - c for j in js[:m]] + [inf] * (nj - m))
+    exps, coeffs = [], []
+    for j, x in zip(js, map(min, zip(*cols))):
+        if not coeffs or x > coeffs[-1]:
+            exps.append(j)
+            coeffs.append(x)
+    if coeffs and coeffs[-1] == inf:
+        coeffs[-1] = TOP
+    return _canonical(exps, coeffs, hi, big_b, v, rank_x)
 
 
 def _require_dual_left(m: Series) -> None:
@@ -824,7 +822,8 @@ def _poly_star_core(items: list[tuple[int, int]]) -> Series:
             j -= 1
         rank = j + 1
         if horizon >= rank + n_b + w:  # w >= n_b: two periods past the rank
-            return _canonical(*_steps(f, 0), horizon, t_b, n_b, rank)
+            exps = [0, *[j for j in range(1, horizon + 1) if f[j] > f[j - 1]]]
+            return _canonical(exps, [f[j] for j in exps], horizon, t_b, n_b, rank)
         horizon *= 2
 
 

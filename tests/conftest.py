@@ -19,8 +19,8 @@ from pathlib import Path
 from dioid import EPS, S_EPS, TOP, ZMAX, Monomial, filled, from_rows, make_series
 from dioid import zmax
 from dioid.errors import ShapeError
-from dioid.matrices import (Matrix, _cols, dual_residual, left_residual, mat_odot, mat_otimes,
-                            right_residual)
+from dioid.matrices import (Matrix, _cols, _require_square, dual_residual, left_residual,
+                            mat_odot, mat_otimes, right_residual)
 from dioid.projector import projector_matrix
 from dioid.series import Series
 from dioid.zmax import Scalar
@@ -79,6 +79,25 @@ def negate_transpose(a: Matrix) -> Matrix:
         raise ShapeError(f"negate_transpose: no conjugation over {a.semiring!r}")
     out = map(zmax.conj, chain.from_iterable(_cols(a.entries, a.cols)))
     return Matrix(ZMAX, a.cols, a.rows, tuple(out))
+
+
+def dual_identity(semiring, n: int) -> Matrix:
+    """The unit of the dual product: one on the diagonal, top elsewhere."""
+    return Matrix(
+        semiring,
+        n,
+        n,
+        tuple(semiring.one if i == j else semiring.top for i in range(n) for j in range(n)),
+    )
+
+
+def dual_power(b: Matrix, k: int) -> Matrix:
+    """k-th dual power, with the dual identity as the zeroth power."""
+    _require_square(b, "dual_power")
+    acc = dual_identity(b.semiring, b.rows)
+    for _ in range(k):
+        acc = mat_odot(b, acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +238,21 @@ def eval_series(s: Series, j: int):
 # ---------------------------------------------------------------------------
 # window canonicalisation and full elimination, kept as references
 # ---------------------------------------------------------------------------
+
+
+def window_steps(vals: list[Scalar], lo: int) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where the window ``vals``, first exponent ``lo``,
+    changes value: eps before the first, and top, if reached, last; the step
+    lists that ``series._canonical`` takes.  A change must be an increase."""
+    exps, coeffs = [], []
+    prev = EPS
+    for i, v in enumerate(vals):
+        if v != prev:
+            assert prev is not TOP and (v is TOP or not coeffs or v > prev), (vals, lo)
+            exps.append(lo + i)
+            coeffs.append(v)
+            prev = v
+    return exps, coeffs
 
 
 def canonical_by_window(vals: list[Scalar], lo: int, tau: int, nu: int, rank: int) -> Series:

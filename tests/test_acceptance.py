@@ -21,8 +21,6 @@ from dioid import (
     ZMAX,
     Grid,
     Monomial,
-    dual_identity,
-    dual_power,
     dual_residual,
     from_rows,
     greatest_subsolution,
@@ -45,8 +43,8 @@ from dioid.matrices import Matrix
 from dioid.series import parse_series, sigma_inf
 from dioid.series import s_lres, s_oplus, s_otimes, s_star, s_wedge
 
-from conftest import (eval_series, kernel_project, negate_transpose, rand_matrix,
-                      rand_positive_series, rand_series, value_at)
+from conftest import (dual_identity, dual_power, eval_series, kernel_project, negate_transpose,
+                      rand_matrix, rand_positive_series, rand_series, value_at)
 
 
 def report(num: int, label: str, elapsed: float, budget: float) -> None:

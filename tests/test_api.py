@@ -12,8 +12,8 @@ PUBLIC = [
     "HypothesisError", "IGAMMA", "IZMAX", "Interval", "IntervalOrderError",
     "IntervalSemiring", "Matrix", "Monomial", "ParseError", "SEMIRINGS", "S_EPS",
     "S_ONE", "S_TOP", "Scalar", "Series", "SeriesDomainError", "ShapeError", "TOP",
-    "ZMAX", "check_hypothesis", "dual_identity", "dual_power", "dual_residual",
-    "errors", "filled", "format_matrix", "from_monomials", "from_rows",
+    "ZMAX", "check_hypothesis", "dual_residual", "errors", "filled", "format_matrix",
+    "from_monomials", "from_rows",
     "greatest_subsolution", "identity", "interval_bounds", "interval_join",
     "interval_project", "intervals", "kleene_star", "left_residual", "make_series",
     "mat_leq", "mat_odot", "mat_oplus", "mat_otimes", "mat_wedge", "matrices",

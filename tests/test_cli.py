@@ -528,6 +528,15 @@ class TestLaunch:
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("dioid: warning: wedge_closure: "), lines
 
+    def test_series_residual_by_a_far_polynomial(self, workdir):
+        # Counted in steps, the residual reads 2 numerator steps, not the
+        # 10^6 exponents between them.
+        _, write = workdir
+        a = write("a.mat", "1 1\n0.g0+1.g1000000\n")
+        b = write("b.mat", "1 1\n0.g0\n")
+        run = run_python("-m", "dioid.cli", "lres", "--type", "series", a, b)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "-1.g0\n", "")
+
     def test_interval_project_warning_is_one_line(self, workdir):
         # Both bounds of B close decreasing dual circuits at both pivots.
         _, write = workdir

@@ -29,8 +29,6 @@ from dioid import (
     Monomial,
     S_EPS,
     S_TOP,
-    dual_identity,
-    dual_power,
     dual_residual,
     from_monomials,
     from_rows,
@@ -55,8 +53,9 @@ from dioid.matrices import (_OrderDual, _gauss_jordan, _zmax_closure, interval_b
                             interval_join)
 from dioid.series import parse_series
 
-from conftest import (SCALAR_TABLES, eps_matrix, gauss_jordan_full, loop_entries, negate_transpose,
-                      rand_matrix, rand_positive_series, rand_scalar, rand_series, top_matrix)
+from conftest import (SCALAR_TABLES, dual_identity, dual_power, eps_matrix, gauss_jordan_full,
+                      loop_entries, negate_transpose, rand_matrix, rand_positive_series,
+                      rand_scalar, rand_series, top_matrix)
 
 
 def series_matrix(rows):
@@ -576,9 +575,9 @@ class TestGenericFolds:
                 assert op(a, x).entries == expected, (name, a, x)
 
     def test_fold_stops_at_the_absorbing_element(self):
-        # The meet is eps after the first term, so the second, whose window
-        # would pass the cap, is never computed.
-        far = make_series([Monomial(0, 0), Monomial(1, 10**6)])
+        # The meet is eps after the first term, so the second, whose sweep
+        # of 100,000 numerator steps would pass the cap, is never computed.
+        far = make_series([Monomial(i, i) for i in range(10**5)])
         ramp = make_series([], [Monomial(0, 0)], Monomial(1, 1))
         one = parse_series("0.g0")
         with pytest.raises(DivergenceError):

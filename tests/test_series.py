@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,8 @@ from dioid import zmax
 from dioid.errors import DivergenceError, ParseError, SeriesDomainError
 from dioid.intervals import IGAMMA, Interval
 from dioid import series as series_module
-from dioid.series import (Series, _canonical, _min_exp, _pattern_sum, _steps, _undominated,
-                          format_series, is_monomial, values)
+from dioid.series import (Series, _canonical, _min_exp, _pattern_sum, _undominated, _walk,
+                          format_series, is_monomial)
 from dioid.zmax import TOP
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     run_python,
     unroll,
     value_at,
+    window_steps,
 )
 
 g = parse_series
@@ -613,12 +615,18 @@ class TestUncheckedResults:
 
 
 class TestWindowValues:
-    """``values`` sweeps the staircase once; it must agree with the unrolled
-    monomial semantics on every kind of window."""
+    """``_walk`` lists the staircase steps at or below an exponent in one pass;
+    read on a window, they must agree with the unrolled monomial semantics
+    on every kind of window, and each must be a rise."""
 
     def check(self, s, lo, hi):
-        assert values(s, lo, hi) == [eval_series(s, j) for j in range(lo, hi + 1)], (
-            format_series(s), lo, hi)
+        exps, coeffs = _walk(s, hi)
+        assert all(e <= hi for e in exps), (format_series(s), hi)
+        for e, c in zip(exps, coeffs):
+            assert eval_series(s, e) == c != eval_series(s, e - 1), (format_series(s), e)
+        got = [coeffs[bisect_right(exps, j) - 1] if exps and j >= exps[0] else zmax.EPS
+               for j in range(lo, hi + 1)]
+        assert got == [eval_series(s, j) for j in range(lo, hi + 1)], (format_series(s), lo, hi)
 
     def test_random_windows(self):
         rng = random.Random(112)
@@ -632,19 +640,21 @@ class TestWindowValues:
                     self.check(s, lo, lo + rng.randint(-3, 60))  # hi < lo too
 
     def test_empty_window(self):
-        assert values(g("3.g1.(2.g1)*"), 5, 4) == []
-        assert values(S_TOP, 2, -1) == []
+        self.check(g("3.g1.(2.g1)*"), 5, 4)
+        assert _walk(g("3.g1.(2.g1)*"), 0) == ([], [])
 
     def test_extremes(self):
-        assert values(S_EPS, -2, 3) == [zmax.EPS] * 6
-        assert values(S_TOP, -2, 3) == [zmax.TOP] * 6
+        # The all-top series has no steps: every caller takes it first.
+        assert _walk(S_EPS, 3) == ([], [])
+        self.check(S_EPS, -2, 3)
         self.check(g("1.g0+4.g2+top.g5"), -2, 9)
         self.check(g("top.g3"), 0, 6)
 
     def test_window_inside_a_constant_run(self):
         s = g("0.g0.(5.g12)*")
-        assert values(s, 1, 11) == [0] * 11
-        assert values(s, 121, 132) == [50] * 11 + [55]
+        self.check(s, 1, 11)
+        self.check(s, 121, 132)
+        assert _walk(s, 132) == (list(range(0, 133, 12)), list(range(0, 56, 5)))
 
 
 class TestResidualFallback:
@@ -834,9 +844,10 @@ class TestStepCanonicaliser:
             want = canonical_by_window(vals, lo, tau, nu, rank)
         except AssertionError:
             with pytest.raises(AssertionError):
-                _canonical(*_steps(vals, lo), hi, tau, nu, rank)
+                _canonical(*window_steps(vals, lo), hi, tau, nu, rank)
             return None
-        assert _canonical(*_steps(vals, lo), hi, tau, nu, rank) == want, (vals, lo, tau, nu, rank)
+        got = _canonical(*window_steps(vals, lo), hi, tau, nu, rank)
+        assert got == want, (vals, lo, tau, nu, rank)
         return want
 
     @staticmethod
@@ -1135,6 +1146,58 @@ class TestRoadmapRepros:
             assert (eval_series if j < 50 else value_at)(got, j) == want, j
 
 
+class TestStepMeetsAndResiduals:
+    """Meets and residuals merge step lists, so their work is counted in
+    steps: inputs whose exponent windows passed the cap now return, and are
+    checked pointwise."""
+
+    @staticmethod
+    def timed(op, *args):
+        start = time.perf_counter()
+        got = op(*args)
+        assert time.perf_counter() - start < 1.0
+        return got
+
+    def test_residual_by_a_far_polynomial(self):
+        a, b = g("0.g0+1.g1000000"), g("0.g0")
+        got = self.timed(s_lres, a, b)
+        assert got == g("-1.g0")
+        for j in range(-5, 6):
+            want = zmax.EPS if j < 0 else min(zmax.lres(0, eval_series(b, j)),
+                                               zmax.lres(1, eval_series(b, j + 10**6)))
+            assert eval_series(got, j) == want == (zmax.EPS if j < 0 else -1), j
+
+    @pytest.mark.parametrize("a,b", [("0.g0.(1.g1000)*", "0.g0.(1.g999)*"),
+                                     ("0.g0.(1.g4000)*", "3.g0.(1.g3999)*")])
+    def test_meet_of_long_coprime_periods_is_the_flatter_operand(self, a, b):
+        a, b = g(a), g(b)
+        assert self.timed(s_wedge, a, b) is a
+        assert self.timed(s_wedge, b, a) is a
+        for j in [*range(-2, 30), *range(3990, 4010), *range(15995990, 15996010, 3)]:
+            want = zmax.wedge(value_at(a, j), value_at(b, j))
+            assert value_at(a, j) == want, j
+            if j < 5000:
+                assert eval_series(a, j) == zmax.wedge(eval_series(a, j), eval_series(b, j)), j
+
+    def test_join_of_long_coprime_periods_is_the_steeper_operand(self):
+        a, b = g("0.g0.(1.g1000)*"), g("0.g0.(1.g999)*")
+        assert self.timed(s_oplus, a, b) is b
+        assert self.timed(s_oplus, b, a) is b
+        assert s_leq(a, b) and not s_leq(b, a)
+        for j in range(-2, 3000):
+            assert eval_series(b, j) == zmax.oplus(eval_series(a, j), eval_series(b, j)), j
+        for j in range(998000, 999010, 7):
+            assert value_at(b, j) == zmax.oplus(value_at(a, j), value_at(b, j)) == j // 999, j
+
+    def test_join_with_neither_operand_above_is_still_refused(self):
+        # 0.g0.(1.g1000)* passes 1.g0.(1.g1001)* only past exponent 10^6, so
+        # neither dominates, and the sum's window passes the cap.
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match="pattern with period exponent"):
+            s_oplus(g("0.g0.(1.g1000)*"), g("1.g0.(1.g1001)*"))
+        assert time.perf_counter() - start < 1.0
+
+
 def test_minimal_period_among_many_divisors():
     # Windows claimed at k times the period of series whose steps make
     # h = gcd(nu, tau, steps) a multiple of k: _canonical scans 1..h for
@@ -1145,7 +1208,7 @@ def test_minimal_period_among_many_divisors():
         for k in range(1, 121):
             tau, nu = s.period.coeff * k, s.period.exp * k
             vals = [value_at(s, j) for j in range(0, 2 * nu + 1)]
-            assert _canonical(*_steps(vals, 0), 2 * nu, tau, nu, 0) == s, (text, k)
+            assert _canonical(*window_steps(vals, 0), 2 * nu, tau, nu, 0) == s, (text, k)
 
 
 class TestParseCost:
