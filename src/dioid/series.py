@@ -563,12 +563,17 @@ def s_oplus(a: Series, b: Series) -> Series:
         groups.setdefault(p.period, []).extend(map(_pair, p.pattern))
     try:
         return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
-    except DivergenceError:
+    except DivergenceError as err:
         # Two periods whose lcm outruns the cap: when their meet, counted in
-        # steps, is one operand, the join is the other.
-        m = s_wedge(a, b) if p.period is not None else None
-        if m is a or m is b:
-            return b if m is a else a
+        # steps, is one operand, the join is the other.  Else, or when the
+        # meet is refused too, the sum's refusal stands.
+        if p.period is not None:
+            try:
+                m = s_wedge(a, b)
+            except DivergenceError:
+                raise err from None
+            if m is a or m is b:
+                return b if m is a else a
         raise
 
 
@@ -720,15 +725,12 @@ def s_lres(a: Series, b: Series) -> Series:
     ea, ca = _walk(a, k_hi)
     eb, cb = _walk(b, hi + k_hi)
     # x is eps up to lo, where b(j + na0) is, and steps only where a term
-    # does: at j = e - k for a step k of a and e of b.  Each candidate past
-    # lo, or each exponent when those are fewer, is a min over a's steps.
+    # does: at j = e - k for a step k of a and e of b.  Each candidate in
+    # (lo, hi], at most min(hi - lo, |a| |b|) of them, is a min over a's steps.
     n = len(ea)
     _check_work("residual sweep (steps x candidates)", n * min(hi - lo, n * len(eb)))
-    if n * len(eb) < hi - lo:
-        js = sorted({e - k for k in ea
-                     for e in eb[bisect_left(eb, lo + 1 + k):bisect_right(eb, hi + k)]})
-    else:
-        js = range(lo + 1, hi + 1)
+    js = sorted({e - k for k in ea
+                 for e in eb[bisect_left(eb, lo + 1 + k):bisect_right(eb, hi + k)]})
     # Terms where b is top are top, the unit of the meet; a term where a is
     # top is eps until b is top there too, and so is x.
     b_top = math.inf

@@ -1197,6 +1197,36 @@ class TestStepMeetsAndResiduals:
             s_oplus(g("0.g0.(1.g1000)*"), g("1.g0.(1.g1001)*"))
         assert time.perf_counter() - start < 1.0
 
+    def test_join_refused_by_its_meet_too_gives_the_sums_refusal(self):
+        # The sum's window (lcm ~ 10^10) and the meet's walk, four lcm of
+        # steps past the crossing, both pass the cap: the join's own
+        # refusal is the one raised.
+        a, b = g("0.g0.(1.g100000)*"), g("1.g0.(1.g100001)*")
+        with pytest.raises(DivergenceError, match="series steps"):
+            s_wedge(a, b)
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match="^pattern with period exponent 100000"):
+            s_oplus(a, b)
+        assert time.perf_counter() - start < 1.0
+
+    def test_meet_whose_literal_the_literal_sum_refuses(self):
+        # Known gap: parse_series sums a literal's terms over an exponent
+        # window, and this accepted meet's canonical literal passes the cap
+        # there, so the printed result cannot be read back in.  When
+        # literals are read on steps, the last assertion is to turn into
+        # parse_series(text) == got.
+        a, b = g("-2.g3.(3.g61860)*"), g("5.g2.(1.g72531)*")
+        got = self.timed(s_wedge, a, b)
+        text = format_series(got)
+        assert text == ("-2.g3+1.g61863+4.g123723+7.g185583"
+                        "+8.g247443.(1.g72531)*+9.g290126.(1.g72531)*")
+        steps = {m.exp + k * x.period.exp for x in (a, b, got) for m in x.pattern
+                 for k in range(20)} | {m.exp for m in got.transient}
+        for j in sorted({-1, *steps, *(e - 1 for e in steps)}):
+            assert value_at(got, j) == zmax.wedge(value_at(a, j), value_at(b, j)), j
+        with pytest.raises(DivergenceError, match="pattern with period exponent 72531"):
+            parse_series(text)
+
 
 def test_minimal_period_among_many_divisors():
     # Windows claimed at k times the period of series whose steps make
