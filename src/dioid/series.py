@@ -36,15 +36,15 @@ the steps past the proven rank repeat shifted, and the earliest rank by
 walking the breakpoints of s(j) and s(j + nu) down from it.  A meet
 merges both operands' steps, and a residual is a min over the numerator's
 steps, read only where a term steps: both count their work in steps, not
-in exponents spanned.  Sums carry their terms as (exponent, coefficient) pairs:
-``_pattern_sum`` drops several (pattern, period) groups and the transient
-terms into one event array over a window sized by the steepest groups, and
-keeps the steps of its running max, so a product, a sum of products
-(``_otimes_sum``), a join and a literal are one sweep each; a group of M
-terms over n exponents costs about M*n/nu steps, or n + M by its
-recurrence.  ``s_oplus`` merges a finite polynomial with a periodic
-series' copies, and where a sum's window would pass the cap it asks the
-step meet whether one operand dominates the other.  Results are built once, unchecked
+in exponents spanned.  Sums carry their terms as (exponent, coefficient)
+pairs: ``_pattern_sum`` lists the copies of several (pattern, period)
+groups up to a window end sized by the steepest groups, with the transient
+terms, and reads the steps off them (``_rises``), so a product, a sum of
+products (``_otimes_sum``), a join and a literal are one list each.  In one
+residue class of a group, a monomial's copies stop where a later one of
+larger key begins, so a class costs one copy per period and the work is
+counted in copies; ``s_oplus`` merges a finite polynomial with a periodic
+series' copies the same way.  Results are built once, unchecked
 (``_series``): their construction makes the checks hold.
 
 Operations expect canonical operands, as every constructor function and
@@ -58,11 +58,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from itertools import count
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from . import zmax
-from .errors import DivergenceError, ParseError, SeriesDomainError, _check_work
+from .errors import _WINDOW_CAP, ParseError, SeriesDomainError, _check_work
 from .zmax import EPS, TOP, Frozen, Scalar
 
 if TYPE_CHECKING:
@@ -304,21 +305,28 @@ def _canonical(exps: list[int], coeffs: list[Scalar], hi: int, tau: int, nu: int
 # Constructors
 # ---------------------------------------------------------------------------
 
-def _rises(pairs: list) -> tuple[list[int], list[Scalar]]:
-    """Exponents and values where the largest of the finite or top values
-    ``pairs`` (exponent, value), sorted in place, at or before an exponent
-    rises; top ends it."""
-    pairs.sort(key=_exp)
+def _rises(pairs: list, top: Optional[int] = None) -> tuple[list[int], list[Scalar]]:
+    """Exponents and values where the largest of the finite values ``pairs``
+    (exponent, value), sorted in place, at or before an exponent rises; it
+    turns top at ``top``, if given, and ends there."""
     exps, coeffs = [], []
-    for e, c in pairs:
-        if not coeffs or c is TOP or c > coeffs[-1]:
-            if exps and exps[-1] == e:
-                coeffs[-1] = c
-            else:
-                exps.append(e)
-                coeffs.append(c)
-            if c is TOP:
-                break
+    if pairs:
+        pairs.sort(key=_exp)
+        x, last = pairs[0][1] - 1, None
+        for e, c in pairs:
+            if c > x:
+                x = c
+                if e == last:
+                    coeffs[-1] = c
+                else:
+                    last = e
+                    exps.append(e)
+                    coeffs.append(c)
+    if top is not None:
+        i = bisect_left(exps, top)
+        del exps[i:], coeffs[i:]
+        exps.append(top)
+        coeffs.append(TOP)
     return exps, coeffs
 
 
@@ -375,29 +383,11 @@ def _undominated(ms: list, tau: int, nu: int) -> list:
     return kept
 
 
-def _recurrence(events: list[int], ms: list, tau: int, nu: int, lo: int) -> list[int]:
-    """``events`` from exponent lo, with the pairs ``ms`` of period tau.g(nu)
-    filled in by one pass of g[i] = max(q[i], g[i - nu] + tau), pairs past
-    the window skipped: their sum q (x) (tau.g(nu))* is the least solution
-    of x = q (+) tau.g(nu) (x) x.  g starts below the events by more than the
-    window's n // nu periods of tau lift it, not at their floor."""
-    n = len(events)
-    g = [min(events) - n * tau] * n
-    for e, c in ms:
-        if e - lo < n and c > g[e - lo]:
-            g[e - lo] = c
-    for i in range(nu, n):
-        c = g[i - nu] + tau
-        if c > g[i]:
-            g[i] = c
-    return list(map(max, events, g))
-
-
 def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     """Canonical join of the polynomial ``transient`` and, for every
     ``period: pattern`` of ``groups``, the series pattern (x) period*, all
-    as (exponent, coefficient) pairs: one event array over one window, whose
-    running max gives the steps.
+    as (exponent, coefficient) pairs: the copies up to a proven window end,
+    with the polynomial, give the steps (``_rises``).
 
     The steepest groups share the period T.g(v), v the lcm of their
     exponents; from rank0, their last pattern exponent, they are at least
@@ -405,46 +395,41 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     lies below the line (d + tf*j)/nf, d the largest nf*c - tf*e over its
     monomials: it adds nothing past rank0 + k*v once k*(T*nf - tf*v) >=
     d + tf*(rank0 + v) - nf*L, nor the transient once k*T passes its largest
-    coefficient less L.  The window ends two periods past the largest such
-    rank, or where a ``top`` coefficient saturates the join.  Within each
+    coefficient less L.  The copies run two periods past the largest such
+    rank, or to a ``top`` coefficient, which saturates the join.  Within each
     group the monomials another one dominates are dropped first
-    (``_undominated``), so they neither size the window nor cost a fill.
-    A group of M monomials over the window's n exponents is filled by its
-    copies, about M*n/nf steps, or once those pass n + M by one
-    ``_recurrence`` pass.
+    (``_undominated``), so they do not size the window.  In one residue class
+    mod nf a monomial's copies stop where a later one of larger key
+    c - (e div nf)*tf begins, as they lie below its own from there: a class
+    lists one copy per period, and the work estimate is the copies listed.
     """
     if not groups:  # a polynomial
-        exps, coeffs = _rises([m for m in transient if m[1] is not EPS])
+        poly = [m for m in transient if m[1] is not EPS and m[1] is not TOP]
+        tops = [e for e, c in transient if c is TOP] if len(poly) < len(transient) else ()
+        exps, coeffs = _rises(poly, min(tops) if tops else None)
         return _series(tuple(map(Monomial, coeffs, exps))) if exps else S_EPS
-    # One pass splits the monomials into finite and top ones, and finds lo
-    # and the least finite coefficient.
+    # One pass splits the monomials into finite and top ones.
     tops = []
     fin = []  # (tau, nu, finite pattern) per group
-    lo = floor = math.inf  # finite once a group has a finite term
     for r, ms in ((None, transient), *groups.items()):
         out = []
         for m in ms:
-            e, c = m
+            c = m[1]
             if c is TOP:
-                tops.append(m)
+                tops.append(m[0])
             elif c is not EPS:
                 out.append(m)
-                if e < lo:
-                    lo = e
-                if c < floor:
-                    floor = c
         if r is None:
             poly = out
         elif out:
             fin.append((r.coeff, r.exp, _undominated(out, r.coeff, r.exp) if len(out) > 1 else out))
+    top = min(tops) if tops else None
     if not fin:
-        return _pattern_sum({}, poly + tops)
+        exps, coeffs = _rises(poly, top)
+        return _series(tuple(map(Monomial, coeffs, exps))) if exps else S_EPS
     if tops:
-        # Top from the first top exponent on: the window ends there.
-        rank = min(tops)[0]
-        lo = min(lo, rank)
-        _check_work("series window", rank + 2 - lo)
-        tau, nu, n = 0, 1, rank - lo
+        # Top from the first top exponent on: the copies end there.
+        rank, tau, nu, ends = top, 0, 1, [None] * len(fin)
     else:
         # The steepest groups share the period (tau, nu); ``rank`` starts at
         # rank0, where each of their monomials has begun, and ``low`` is L.
@@ -452,13 +437,12 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
         for tf, nf, _ in fin:
             if tf * v > t * nf:
                 t, v = tf, nf
-        nu, rank = 1, lo
+        nu, rank = 1, -math.inf
         for tf, nf, ms in fin:
             if tf * v == t * nf:
                 nu = math.lcm(nu, nf)
                 rank = max(rank, max(ms)[0])
-        tau = t * nu // v
-        low = floor
+        tau, low = t * nu // v, -math.inf
         for tf, nf, ms in fin:
             if tf * v == t * nf:
                 for e, c in ms:
@@ -471,41 +455,78 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
         for _, c in poly:
             if c > low + k * tau:
                 k = -(-(c - low) // tau)
+        ends = []  # past which each flatter group adds nothing
         for tf, nf, ms in fin:
             if tf * v < t * nf:
-                d = max([nf * c - tf * e for e, c in ms])
-                k = max(k, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
+                d = -math.inf
+                for e, c in ms:
+                    d = max(d, nf * c - tf * e)
+                kf = max(0, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
+                ends.append(rank + kf * nu + 1)
+                k = max(k, kf)
+            else:
+                ends.append(None)
         rank += k * nu
-        _check_work(f"pattern with period exponent {nu}", rank + 2 * nu - lo)
-        n = rank + 2 * nu - lo + 1
-    # Event array: the largest monomial or copy at each exponent (``floor``
-    # where none is), then a running max; a monomial at lo starts it.
-    floor -= 1
-    events = [floor] * n
-    for tf, nf, ms in fin:
-        if len(ms) * n > (n + len(ms)) * nf:
-            events = _recurrence(events, ms, tf, nf, lo)
+    hi = rank + 2 * nu
+    chains = []  # (exponents, first coefficient, tau) of each run of copies
+    work = 0
+    for (tf, nf, ms), end in zip(fin, ends):
+        if end is None:
+            end = hi + 1
+        if len(ms) == 1:
+            e, c = ms[0]
+            x = range(e, end, nf)
+            work += len(x)
+            chains.append((x, c, tf))
             continue
-        for e, c in ms:
-            for i in range(e - lo, n, nf):
-                if c > events[i]:
-                    events[i] = c
-                c += tf
-    for e, c in poly:
-        i = e - lo
-        if i < n and c > events[i]:
-            events[i] = c
-    exps, coeffs = [], []
-    cur = floor
-    for i, x in enumerate(events):
-        if x > cur:
-            cur = x
-            exps.append(lo + i)
-            coeffs.append(x)
-    if tops:
-        exps.append(rank)
-        coeffs.append(TOP)
-    return _canonical(exps, coeffs, rank + 2 * nu, tau, nu, rank)
+        first, last = len(chains), {}  # residue -> its last chain and key
+        for e, c in sorted(ms):
+            if e >= end:
+                break
+            r, key = e % nf, c - e // nf * tf
+            prev = last.get(r)
+            if prev is not None:
+                if key <= prev[1]:
+                    continue
+                x, c0, _ = chains[prev[0]]
+                chains[prev[0]] = (range(x.start, e, nf), c0, tf)
+            last[r] = (len(chains), key)
+            chains.append((range(e, end, nf), c, tf))
+        for x, _, _ in chains[first:]:
+            work += len(x)
+    if work > _WINDOW_CAP:
+        chains = _trim(chains)
+        _check_work("series window" if tops else f"pattern with period exponent {nu}",
+                    sum([len(x) for x, _, _ in chains]))
+    for x, c, tf in chains:
+        poly += zip(x, count(c, tf))
+    return _canonical(*_rises(poly, top), hi, tau, nu, rank)
+
+
+def _trim(chains: list) -> list:
+    """``chains`` less the copies that lie below another chain's monomial,
+    as they add no step.  The copies of a monomial (e, c) of period tf.g(nf)
+    lie on the line c + (p - e)*tf/nf, and the monomial is at least
+    c + (p - e - nf + 1)*tf/nf at every p >= e.  Against a flatter monomial
+    at or before its own, a chain starts where its line passes the other's
+    lower line; against a steeper one, it ends there."""
+    out = []
+    for x, c, tf in chains:
+        e, nf = x.start, x.step
+        start, stop = e, x.stop
+        for y, cj, tj in chains:
+            ej, nj = y.start, y.step
+            # The copy at p lies below j's lower line, p >= ej, iff p*d < r.
+            d = nj * tf - nf * tj
+            r = nf * nj * (cj - c) + nj * tf * e - nf * tj * (ej + nj - 1)
+            if d > 0:
+                if ej <= e:
+                    start = max(start, -(-r // d))
+            elif d < 0 or r > 0:
+                stop = min(stop, max(ej, r // d + 1 if d else e))
+        k = -(-(start - e) // nf)
+        out.append((range(e + k * nf, stop, nf), c + k * tf, tf))
+    return out
 
 
 def make_series(transient: Iterable[Monomial], pattern: Iterable[Monomial] = (),
@@ -536,12 +557,11 @@ def _shift_series(s: Series, t: Scalar, n: int) -> Series:
 def s_oplus(a: Series, b: Series) -> Series:
     """Least upper bound: pointwise max.  A finite polynomial p joins a
     periodic s on steps, with ``_pattern_sum``'s rank and work estimate."""
-    if is_eps(a):
-        return b
-    if is_eps(b):
-        return a
-    if a.all_top or b.all_top:
-        return S_TOP
+    # An operand with no monomials is eps or all-top.
+    if not (a.transient or a.pattern):
+        return a if a.all_top else b
+    if not (b.transient or b.pattern):
+        return b if b.all_top else a
     if a == b:
         return a
     p, s = (a, b) if b.period is not None else (b, a)
@@ -552,41 +572,26 @@ def s_oplus(a: Series, b: Series) -> Series:
         # p adds nothing from the rank on; k periods of copies pass rank + 2*nu.
         (tau, nu), q = (s.period.coeff, s.period.exp), s.pattern
         rank = q[-1].exp + max(0, -(-(p.transient[-1].coeff - q[-1].coeff) // tau)) * nu
-        _check_work(f"pattern with period exponent {nu}",
-                    rank + 2 * nu - min(p.transient[0].exp, _min_exp(s)))
         k = (rank - q[0].exp) // nu + 3
+        _check_work(f"pattern with period exponent {nu}", k * len(q))
         pairs = list(map(_pair, p.transient + s.transient))
         pairs += [(m.exp + i * nu, m.coeff + i * tau) for i in range(k) for m in q]
         return _canonical(*_rises(pairs), q[0].exp + k * nu - 1, tau, nu, rank)
     groups = {s.period: list(map(_pair, s.pattern))}
     if p.period is not None:
         groups.setdefault(p.period, []).extend(map(_pair, p.pattern))
-    try:
-        return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
-    except DivergenceError as err:
-        # Two periods whose lcm outruns the cap: when their meet, counted in
-        # steps, is one operand, the join is the other.  Else, or when the
-        # meet is refused too, the sum's refusal stands.
-        if p.period is not None:
-            try:
-                m = s_wedge(a, b)
-            except DivergenceError:
-                raise err from None
-            if m is a or m is b:
-                return b if m is a else a
-        raise
+    return _pattern_sum(groups, list(map(_pair, a.transient + b.transient)))
 
 
 def s_wedge(a: Series, b: Series) -> Series:
     """Greatest lower bound: pointwise min, merged from both operands' steps.
     When the merged steps are an operand's, that operand is the result: both
     follow the recurrence past the window, and canonical forms are unique."""
-    if is_eps(a) or is_eps(b):
-        return S_EPS
-    if a.all_top:
-        return b
-    if b.all_top:
-        return a
+    # An operand with no monomials is eps or all-top.
+    if not (a.transient or a.pattern):
+        return b if a.all_top else S_EPS
+    if not (b.transient or b.pattern):
+        return a if b.all_top else S_EPS
     (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
     rank = max(ra, rb)
     flat = None
@@ -631,8 +636,8 @@ def _poly_mul(ms: Iterable[Monomial], ns: Iterable[Monomial]) -> list:
 def s_otimes(a: Series, b: Series) -> Series:
     """Product: sup-convolution of the two staircases; the one-pair case of
     ``_otimes_sum``, with the shifts below taken first."""
-    if is_eps(a) or is_eps(b):
-        return S_EPS
+    if not (a.transient or a.pattern or a.all_top) or not (b.transient or b.pattern or b.all_top):
+        return S_EPS  # an eps factor
     # A monomial factor only shifts the other operand, and shifting
     # a canonical form keeps it canonical; ``_otimes_sum`` takes top.
     if is_monomial(a):
@@ -695,10 +700,10 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
 
 def s_lres(a: Series, b: Series) -> Series:
     """Greatest x with a (x) x <= b."""
-    if b.all_top or is_eps(a):
-        return S_TOP
-    if is_eps(b) or a.all_top:
-        return S_EPS
+    if b.all_top or not (a.transient or a.pattern or a.all_top):
+        return S_TOP  # b top or a eps
+    if not (b.transient or b.pattern) or a.all_top:
+        return S_EPS  # b eps or a top
     if is_monomial(a) and a.transient[0].coeff is not TOP:
         # t.gn (x) x <= b iff x(j) <= b(j + n) - t: b shifted back
         return _shift_series(b, -a.transient[0].coeff, -a.transient[0].exp)

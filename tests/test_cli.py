@@ -267,17 +267,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "parse error" in err and "line 2, entry 1" in err
 
-    def test_long_period_literal_is_refused_quickly(self, workdir, capsys):
-        # The window of 1.g0.(1.g100000000)* would hold 2*10^8 values; it used
-        # to be filled before any cap was checked.
+    def test_long_period_literal_is_its_own_form(self, workdir, capsys):
+        # 1.g0.(1.g100000000)* spans 2*10^8 exponents over two periods, but
+        # its sum lists three copies; its star is top from exponent 0.
         _, write = workdir
         lit = write("lit.mat", "1 1\n1.g0.(1.g100000000)*\n")
         start = time.perf_counter()
-        assert main(["star", lit, "--type", "series"]) == 1
-        assert time.perf_counter() - start < 2.0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "period exponent 100000000" in err
+        assert main(["star", lit, "--type", "series"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("top.g0\n", "")
 
     def test_long_period_residual_ends_quickly(self, workdir, capsys):
         _, write = workdir
@@ -437,7 +435,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind,literal,message", [
         ("interval-maxplus", "[5,1]", "interval bounds are not ordered: [5,1]"),
-        ("interval-series", "[1.g0.(1.g100000000)*,top]", "period exponent 100000000"),
+        ("interval-series", "[1000000000.g0+0.g0.(1.g1)*,top]", "period exponent 1:"),
     ], ids=["interval-order", "window-cap"])
     def test_domain_check_names_file_and_position(self, workdir, capsys, kind, literal,
                                                   message):
