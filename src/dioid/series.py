@@ -395,13 +395,15 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     lies below the line (d + tf*j)/nf, d the largest nf*c - tf*e over its
     monomials: it adds nothing past rank0 + k*v once k*(T*nf - tf*v) >=
     d + tf*(rank0 + v) - nf*L, nor the transient once k*T passes its largest
-    coefficient less L.  The copies run two periods past the largest such
-    rank, or to a ``top`` coefficient, which saturates the join.  Within each
-    group the monomials another one dominates are dropped first
-    (``_undominated``), so they do not size the window.  In one residue class
-    mod nf a monomial's copies stop where a later one of larger key
-    c - (e div nf)*tf begins, as they lie below its own from there: a class
-    lists one copy per period, and the work estimate is the copies listed.
+    coefficient less L.  The steep copies run two periods past the largest
+    such rank, and a flatter group's to its own, or all to a ``top``
+    coefficient, which saturates the join.  Within each group the monomials
+    another one dominates are dropped first (``_undominated``), so they do
+    not size the window.  In one residue class mod nf a monomial's copies
+    stop where a later one of larger key c - (e div nf)*tf begins, as they
+    lie below its own from there: a class lists one copy per period.  The
+    work estimate is the copies listed, after ``_trim`` when it passes the
+    cap.
     """
     if not groups:  # a polynomial
         poly = [m for m in transient if m[1] is not EPS and m[1] is not TOP]
@@ -410,40 +412,40 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
         return _series(tuple(map(Monomial, coeffs, exps))) if exps else S_EPS
     # One pass splits the monomials into finite and top ones.
     tops = []
-    fin = []  # (tau, nu, finite pattern) per group
+    fin = []  # [tau, nu, finite pattern, end of its copies or None] per group
     for r, ms in ((None, transient), *groups.items()):
         out = []
         for m in ms:
             c = m[1]
             if c is TOP:
-                tops.append(m[0])
+                tops.append(m)
             elif c is not EPS:
                 out.append(m)
         if r is None:
             poly = out
         elif out:
-            fin.append((r.coeff, r.exp, _undominated(out, r.coeff, r.exp) if len(out) > 1 else out))
-    top = min(tops) if tops else None
+            fin.append([r.coeff, r.exp, _undominated(out, r.coeff, r.exp) if len(out) > 1 else out,
+                        None])
     if not fin:
-        exps, coeffs = _rises(poly, top)
-        return _series(tuple(map(Monomial, coeffs, exps))) if exps else S_EPS
+        return _pattern_sum({}, poly + tops)
+    top = min(tops)[0] if tops else None
     if tops:
         # Top from the first top exponent on: the copies end there.
-        rank, tau, nu, ends = top, 0, 1, [None] * len(fin)
+        rank, tau, nu = top, 0, 1
     else:
         # The steepest groups share the period (tau, nu); ``rank`` starts at
         # rank0, where each of their monomials has begun, and ``low`` is L.
         t, v = 0, 1
-        for tf, nf, _ in fin:
+        for tf, nf, _, _ in fin:
             if tf * v > t * nf:
                 t, v = tf, nf
         nu, rank = 1, -math.inf
-        for tf, nf, ms in fin:
+        for tf, nf, ms, _ in fin:
             if tf * v == t * nf:
                 nu = math.lcm(nu, nf)
                 rank = max(rank, max(ms)[0])
         tau, low = t * nu // v, -math.inf
-        for tf, nf, ms in fin:
+        for tf, nf, ms, _ in fin:
             if tf * v == t * nf:
                 for e, c in ms:
                     c += (rank - e) // nf * tf
@@ -455,24 +457,39 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
         for _, c in poly:
             if c > low + k * tau:
                 k = -(-(c - low) // tau)
-        ends = []  # past which each flatter group adds nothing
-        for tf, nf, ms in fin:
+        for g in fin:  # a flatter group's copies end where it adds nothing
+            tf, nf, ms, _ = g
             if tf * v < t * nf:
                 d = -math.inf
                 for e, c in ms:
-                    d = max(d, nf * c - tf * e)
+                    if nf * c - tf * e > d:
+                        d = nf * c - tf * e
                 kf = max(0, -(-(d + tf * (rank + nu) - nf * low) // (nf * tau - tf * nu)))
-                ends.append(rank + kf * nu + 1)
-                k = max(k, kf)
-            else:
-                ends.append(None)
+                g[3] = rank + kf * nu + 1
+                if kf > k:
+                    k = kf
         rank += k * nu
     hi = rank + 2 * nu
-    chains = []  # (exponents, first coefficient, tau) of each run of copies
-    work = 0
-    for (tf, nf, ms), end in zip(fin, ends):
+    chains, work = _chains(fin, hi + 1)
+    if work > _WINDOW_CAP:
+        chains = _trim(_chains(_merged(fin, hi + 1), hi + 1)[0])
+        _check_work("series window" if tops else f"pattern with period exponent {nu}",
+                    sum([len(x) for x, _, _ in chains]))
+    for x, c, tf in chains:
+        poly += zip(x, count(c, tf))
+    return _canonical(*_rises(poly, top), hi, tau, nu, rank)
+
+
+def _chains(groups: list, stop: int) -> tuple[list, int]:
+    """The runs of copies of each group (tau, nu, pattern, end), as
+    (exponents, first coefficient, tau), and their number of copies.  In one
+    residue class mod nu a monomial's copies stop where a later one of larger
+    key c - (e div nu)*tau begins, as they lie below its own from there, and
+    all stop at the group's end, or at ``stop`` for a group with none."""
+    chains, work = [], 0
+    for tf, nf, ms, end in groups:
         if end is None:
-            end = hi + 1
+            end = stop
         if len(ms) == 1:
             e, c = ms[0]
             x = range(e, end, nf)
@@ -494,13 +511,33 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
             chains.append((range(e, end, nf), c, tf))
         for x, _, _ in chains[first:]:
             work += len(x)
-    if work > _WINDOW_CAP:
-        chains = _trim(chains)
-        _check_work("series window" if tops else f"pattern with period exponent {nu}",
-                    sum([len(x) for x, _, _ in chains]))
-    for x, c, tf in chains:
-        poly += zip(x, count(c, tf))
-    return _canonical(*_rises(poly, top), hi, tau, nu, rank)
+    return chains, work
+
+
+def _merged(groups: list, stop: int) -> list:
+    """``groups`` with the groups of one slope made one, over the lcm of
+    their periods: its residue classes then list one copy per period between
+    them.  A group's pairs become their copies within one such period."""
+    out = []
+    for tf, nf, ms, end in groups:
+        if end is None:
+            end = stop
+        for i, (t, n, ns, end0) in enumerate(out):
+            if t * nf == tf * n:
+                lcm = math.lcm(n, nf)
+                out[i] = (t * (lcm // n), lcm, _spread(ns, t, n, lcm, end0) + _spread(ms, tf, nf, lcm, end),
+                          max(end0, end))
+                break
+        else:
+            out.append((tf, nf, ms, end))
+    return out
+
+
+def _spread(ms: list, tf: int, nf: int, n: int, end: int) -> list:
+    """The pattern pairs ``ms`` of period tf.g(nf) as pairs of period
+    (n/nf*tf).g(n), n a multiple of nf: their copies within one such period,
+    before ``end``."""
+    return [(x, c + (x - e) // nf * tf) for e, c in ms for x in range(e, min(end, e + n), nf)]
 
 
 def _trim(chains: list) -> list:
@@ -509,12 +546,14 @@ def _trim(chains: list) -> list:
     lie on the line c + (p - e)*tf/nf, and the monomial is at least
     c + (p - e - nf + 1)*tf/nf at every p >= e.  Against a flatter monomial
     at or before its own, a chain starts where its line passes the other's
-    lower line; against a steeper one, it ends there."""
+    lower line; against a steeper one, it ends there; against one of equal
+    slope, it is cut from the other's exponent on when it lies below, or on
+    an earlier chain's lower line."""
     out = []
-    for x, c, tf in chains:
+    for i, (x, c, tf) in enumerate(chains):
         e, nf = x.start, x.step
         start, stop = e, x.stop
-        for y, cj, tj in chains:
+        for j, (y, cj, tj) in enumerate(chains):
             ej, nj = y.start, y.step
             # The copy at p lies below j's lower line, p >= ej, iff p*d < r.
             d = nj * tf - nf * tj
@@ -522,7 +561,7 @@ def _trim(chains: list) -> list:
             if d > 0:
                 if ej <= e:
                     start = max(start, -(-r // d))
-            elif d < 0 or r > 0:
+            elif d < 0 or r > 0 or r == 0 and j < i:
                 stop = min(stop, max(ej, r // d + 1 if d else e))
         k = -(-(start - e) // nf)
         out.append((range(e + k * nf, stop, nf), c + k * tf, tf))
@@ -556,7 +595,8 @@ def _shift_series(s: Series, t: Scalar, n: int) -> Series:
 
 def s_oplus(a: Series, b: Series) -> Series:
     """Least upper bound: pointwise max.  A finite polynomial p joins a
-    periodic s on steps, with ``_pattern_sum``'s rank and work estimate."""
+    periodic s on steps, with ``_pattern_sum``'s rank, and past the cap in
+    ``_pattern_sum`` itself."""
     # An operand with no monomials is eps or all-top.
     if not (a.transient or a.pattern):
         return a if a.all_top else b
@@ -573,10 +613,10 @@ def s_oplus(a: Series, b: Series) -> Series:
         (tau, nu), q = (s.period.coeff, s.period.exp), s.pattern
         rank = q[-1].exp + max(0, -(-(p.transient[-1].coeff - q[-1].coeff) // tau)) * nu
         k = (rank - q[0].exp) // nu + 3
-        _check_work(f"pattern with period exponent {nu}", k * len(q))
-        pairs = list(map(_pair, p.transient + s.transient))
-        pairs += [(m.exp + i * nu, m.coeff + i * tau) for i in range(k) for m in q]
-        return _canonical(*_rises(pairs), q[0].exp + k * nu - 1, tau, nu, rank)
+        if k * len(q) <= _WINDOW_CAP:
+            pairs = list(map(_pair, p.transient + s.transient))
+            pairs += [(m.exp + i * nu, m.coeff + i * tau) for i in range(k) for m in q]
+            return _canonical(*_rises(pairs), q[0].exp + k * nu - 1, tau, nu, rank)
     groups = {s.period: list(map(_pair, s.pattern))}
     if p.period is not None:
         groups.setdefault(p.period, []).extend(map(_pair, p.pattern))
