@@ -402,8 +402,7 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     not size the window.  In one residue class mod nf a monomial's copies
     stop where a later one of larger key c - (e div nf)*tf begins, as they
     lie below its own from there: a class lists one copy per period.  The
-    work estimate is the copies listed, after ``_trim`` when it passes the
-    cap.
+    work estimate is the copies listed, or the window's span if smaller.
     """
     if not groups:  # a polynomial
         poly = [m for m in transient if m[1] is not EPS and m[1] is not TOP]
@@ -472,9 +471,11 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
     hi = rank + 2 * nu
     chains, work = _chains(fin, hi + 1)
     if work > _WINDOW_CAP:
-        chains = _trim(_chains(_merged(fin, hi + 1), hi + 1)[0])
+        # A group lists at most one copy per exponent, so the window's span
+        # bounds the work as well.
+        lo = min([x.start for x, _, _ in chains] + [e for e, _ in poly])
         _check_work("series window" if tops else f"pattern with period exponent {nu}",
-                    sum([len(x) for x, _, _ in chains]))
+                    min(work, hi - lo))
     for x, c, tf in chains:
         poly += zip(x, count(c, tf))
     return _canonical(*_rises(poly, top), hi, tau, nu, rank)
@@ -512,60 +513,6 @@ def _chains(groups: list, stop: int) -> tuple[list, int]:
         for x, _, _ in chains[first:]:
             work += len(x)
     return chains, work
-
-
-def _merged(groups: list, stop: int) -> list:
-    """``groups`` with the groups of one slope made one, over the lcm of
-    their periods: its residue classes then list one copy per period between
-    them.  A group's pairs become their copies within one such period."""
-    out = []
-    for tf, nf, ms, end in groups:
-        if end is None:
-            end = stop
-        for i, (t, n, ns, end0) in enumerate(out):
-            if t * nf == tf * n:
-                lcm = math.lcm(n, nf)
-                out[i] = (t * (lcm // n), lcm, _spread(ns, t, n, lcm, end0) + _spread(ms, tf, nf, lcm, end),
-                          max(end0, end))
-                break
-        else:
-            out.append((tf, nf, ms, end))
-    return out
-
-
-def _spread(ms: list, tf: int, nf: int, n: int, end: int) -> list:
-    """The pattern pairs ``ms`` of period tf.g(nf) as pairs of period
-    (n/nf*tf).g(n), n a multiple of nf: their copies within one such period,
-    before ``end``."""
-    return [(x, c + (x - e) // nf * tf) for e, c in ms for x in range(e, min(end, e + n), nf)]
-
-
-def _trim(chains: list) -> list:
-    """``chains`` less the copies that lie below another chain's monomial,
-    as they add no step.  The copies of a monomial (e, c) of period tf.g(nf)
-    lie on the line c + (p - e)*tf/nf, and the monomial is at least
-    c + (p - e - nf + 1)*tf/nf at every p >= e.  Against a flatter monomial
-    at or before its own, a chain starts where its line passes the other's
-    lower line; against a steeper one, it ends there; against one of equal
-    slope, it is cut from the other's exponent on when it lies below, or on
-    an earlier chain's lower line."""
-    out = []
-    for i, (x, c, tf) in enumerate(chains):
-        e, nf = x.start, x.step
-        start, stop = e, x.stop
-        for j, (y, cj, tj) in enumerate(chains):
-            ej, nj = y.start, y.step
-            # The copy at p lies below j's lower line, p >= ej, iff p*d < r.
-            d = nj * tf - nf * tj
-            r = nf * nj * (cj - c) + nj * tf * e - nf * tj * (ej + nj - 1)
-            if d > 0:
-                if ej <= e:
-                    start = max(start, -(-r // d))
-            elif d < 0 or r > 0 or r == 0 and j < i:
-                stop = min(stop, max(ej, r // d + 1 if d else e))
-        k = -(-(start - e) // nf)
-        out.append((range(e + k * nf, stop, nf), c + k * tf, tf))
-    return out
 
 
 def make_series(transient: Iterable[Monomial], pattern: Iterable[Monomial] = (),
