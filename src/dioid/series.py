@@ -43,9 +43,10 @@ terms, and reads the steps off them (``_rises``), so a product, a sum of
 products (``_otimes_sum``), a join and a literal are one list each.  In one
 residue class of a group, a monomial's copies stop where a later one of
 larger key begins, so a class costs one copy per period and the work is
-counted in copies; ``s_oplus`` merges a finite polynomial with a periodic
-series' copies the same way.  Results are built once, unchecked
-(``_series``): their construction makes the checks hold.
+counted in copies (or in the window's span, when smaller); ``s_oplus``
+merges a finite polynomial with a periodic series' copies the same way.
+Results are built once, unchecked (``_series``): their construction makes
+the checks hold.
 
 Operations expect canonical operands, as every constructor function and
 operation returns them.  So a product by a monomial, or a residual by a
