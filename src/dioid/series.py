@@ -470,28 +470,10 @@ def _pattern_sum(groups: dict[Monomial, list], transient: list) -> Series:
                     k = kf
         rank += k * nu
     hi = rank + 2 * nu
-    chains, work = _chains(fin, hi + 1)
-    if work > _WINDOW_CAP:
-        # A group lists at most one copy per exponent, so the window's span
-        # bounds the work as well.
-        lo = min([x.start for x, _, _ in chains] + [e for e, _ in poly])
-        _check_work("series window" if tops else f"pattern with period exponent {nu}",
-                    min(work, hi - lo))
-    for x, c, tf in chains:
-        poly += zip(x, count(c, tf))
-    return _canonical(*_rises(poly, top), hi, tau, nu, rank)
-
-
-def _chains(groups: list, stop: int) -> tuple[list, int]:
-    """The runs of copies of each group (tau, nu, pattern, end), as
-    (exponents, first coefficient, tau), and their number of copies.  In one
-    residue class mod nu a monomial's copies stop where a later one of larger
-    key c - (e div nu)*tau begins, as they lie below its own from there, and
-    all stop at the group's end, or at ``stop`` for a group with none."""
-    chains, work = [], 0
-    for tf, nf, ms, end in groups:
+    chains, work = [], 0  # (exponents, first coefficient, tau) of each run of copies
+    for tf, nf, ms, end in fin:
         if end is None:
-            end = stop
+            end = hi + 1
         if len(ms) == 1:
             e, c = ms[0]
             x = range(e, end, nf)
@@ -513,7 +495,15 @@ def _chains(groups: list, stop: int) -> tuple[list, int]:
             chains.append((range(e, end, nf), c, tf))
         for x, _, _ in chains[first:]:
             work += len(x)
-    return chains, work
+    if work > _WINDOW_CAP:
+        # A group lists at most one copy per exponent, so the window's span
+        # bounds the work as well.
+        lo = min([x.start for x, _, _ in chains] + [e for e, _ in poly])
+        _check_work("series window" if tops else f"pattern with period exponent {nu}",
+                    min(work, hi - lo))
+    for x, c, tf in chains:
+        poly += zip(x, count(c, tf))
+    return _canonical(*_rises(poly, top), hi, tau, nu, rank)
 
 
 def make_series(transient: Iterable[Monomial], pattern: Iterable[Monomial] = (),

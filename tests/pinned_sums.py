@@ -27,12 +27,12 @@ from dioid.zmax import EPS, TOP
 
 PINS = Path(__file__).with_name("pinned_sums.txt")
 NUS = (1, 2, 3, 12, 60, 999, 1000, 72531)
-FAR = (10**6, 10**9)  # past the cap: a far term adds its own copies only
+FAR = (10**6, 10**9)  # exponents past the work cap
 CASES_PER_KIND = {"sum": 1400, "oplus": 1000, "parse": 1000}
 
 
 def _nu(rng: random.Random) -> int:
-    """Short periods mostly: the long ones each cost the parent a window."""
+    """Short periods mostly, as a long one costs a window sum its window."""
     return rng.choice(NUS[:5] * 6 + NUS[5:])
 
 
@@ -90,7 +90,9 @@ def _term(rng: random.Random) -> str:
     if u < 0.03:
         return rng.choice(("e", "eps", " e ", "top"))
     c = rng.randint(-30, 60) if u < 0.97 else "top"
-    e = FAR[-1] if rng.random() < 0.08 else rng.randint(-5, 40)  # 10^6 costs seconds
+    # A literal's term at 10^6 can give a result of 10^5 steps, which takes
+    # most of a second to replay: literals take the farther one only.
+    e = FAR[-1] if rng.random() < 0.08 else rng.randint(-5, 40)
     if rng.random() < 0.55:
         tau, nu = _period(rng)
         if c == "top":

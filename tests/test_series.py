@@ -1324,8 +1324,8 @@ class TestCopyListedSums:
 
     def test_results_read_back_in(self):
         # Long periods with small slopes, so joins and meets cross far out
-        # and print long transients; the parent's exponent-window literal
-        # sum refused some of these literals.  Meets across the two longest
+        # and print long transients; a literal sum over an exponent window
+        # refused some of these literals.  Meets across the two longest
         # periods walk to the cap, so few pairs draw from them.
         rng = random.Random("long-period-round-trips")
         short = [(2, 12), (1, 60), (5, 3)]
