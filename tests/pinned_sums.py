@@ -1,12 +1,18 @@
-"""Seeded cases of series sums, each pinned by a short digest of its result.
+"""Seeded cases of series sums, meets and residuals, each pinned by a short
+digest of its result.
 
 A case is a ``_pattern_sum`` of (exponent, coefficient) groups, an ``s_oplus``
-of two literals or a ``parse_series`` of one literal.  Its result is the
-canonical literal, or the exception's class and message; canonical forms are
-unique, so every case has one right text, and ``pinned_sums.txt`` keeps a
-digest of it.  The pools mix periods nu in {1, 2, 3, 12, 60, 999, 1000,
-72531}, far monomials, groups of mostly dominated monomials, top tails and
-inputs whose work passes the cap.
+of two literals, a ``parse_series`` of one literal, an ``s_lres`` or
+``s_wedge`` of two operands, or a series ``left_residual`` or
+``right_residual`` of two matrices of 1-4 rows and columns.  Its result is the
+canonical literal (the entries' literals, row by row, for a matrix), or the
+exception's class and message; canonical forms are unique, so every case has
+one right text, and ``pinned_sums.txt`` keeps a digest of it.  The pools mix
+periods nu in {1, 2, 3, 12, 60, 999, 1000, 72531}, far monomials, groups of
+mostly dominated monomials, top tails and inputs whose work passes the cap;
+residual operands also draw eps, top, finite monomials and, as a
+denominator, the 100,000-term polynomial sum of i.g(i), whose residual
+sweeps pass the cap.
 
     PYTHONPATH=src python tests/pinned_sums.py          # list the cases that differ
     PYTHONPATH=src python tests/pinned_sums.py --write  # rewrite the pins
@@ -22,13 +28,17 @@ import random
 import sys
 from pathlib import Path
 
-from dioid.series import Monomial, _pattern_sum, format_series, parse_series, s_oplus
+from dioid.matrices import from_rows, left_residual, right_residual
+from dioid.series import (GAMMA, Monomial, _pattern_sum, _series, format_series, parse_series,
+                          s_lres, s_oplus, s_wedge)
 from dioid.zmax import EPS, TOP
 
 PINS = Path(__file__).with_name("pinned_sums.txt")
 NUS = (1, 2, 3, 12, 60, 999, 1000, 72531)
 FAR = (10**6, 10**9)  # exponents past the work cap
-CASES_PER_KIND = {"sum": 1400, "oplus": 1000, "parse": 1000}
+CASES_PER_KIND = {"sum": 1400, "oplus": 1000, "parse": 1000,
+                  "lres": 500, "wedge": 500, "left_residual": 200, "right_residual": 200}
+P_FAR = 0.03  # share of residual cases with the far polynomial as one denominator
 
 
 def _nu(rng: random.Random) -> int:
@@ -113,6 +123,26 @@ def _near_slopes(rng: random.Random) -> tuple[str, str]:
             f"{rng.randint(-3, 3)}.g{rng.randint(0, 5)}.(1.g{nu + d})*")
 
 
+def _entry(rng: random.Random) -> str:
+    """A residual or meet operand: eps, top, a finite monomial, a polynomial
+    that saturates to top, or a literal of the pools above."""
+    u = rng.random()
+    if u < 0.15:
+        return "eps"
+    if u < 0.25:
+        return "top"
+    c, e = rng.randint(-30, 60), rng.randint(-5, 40)
+    if u < 0.45:
+        return f"{c}.g{e}"
+    if u < 0.55:
+        return f"{c}.g{e}+top.g{e + rng.randint(1, 20)}"
+    return _literal(rng)
+
+
+def _matrix(rng: random.Random, rows: int, cols: int) -> list[list[str]]:
+    return [[_entry(rng) for _ in range(cols)] for _ in range(rows)]
+
+
 def _text(pairs: list) -> str:
     return ",".join(f"{e}:{'top' if c is TOP else 'eps' if c is EPS else c}" for e, c in pairs)
 
@@ -142,14 +172,56 @@ def cases() -> list[tuple[str, str, object]]:
                               "-2.g3+1.g61863+4.g123723+7.g185583"
                               "+8.g247443.(1.g72531)*+9.g290126.(1.g72531)*")):
         out.append((f"cap-{i}", text, lambda t=text: parse_series(t)))
+    out += _residual_cases()
+    return out
+
+
+def _residual_cases() -> list[tuple[str, str, object]]:
+    """Meets and residuals, from a seed of their own so that the sums' cases
+    above keep theirs.  The far polynomial is only a denominator: as a
+    numerator its residual by a finite polynomial lists 10^5 steps, which
+    takes most of a second to replay."""
+    rng = random.Random("pinned-residuals")
+    # The sum of i.g(i), i < 10^5, is canonical as written.
+    far = _series(tuple(Monomial(i, i) for i in range(10**5)))
+
+    def series(text: str):
+        return far if text == "far" else parse_series(text)
+
+    def matrix(rows: list[list[str]]):
+        return from_rows(GAMMA, [[series(t) for t in row] for row in rows])
+
+    def show(rows: list[list[str]]) -> str:
+        return "[" + "; ".join(" ".join(row) for row in rows) + "]"
+
+    out = []
+    for op, f in (("lres", s_lres), ("wedge", s_wedge)):
+        for i in range(CASES_PER_KIND[op]):
+            a, b = _entry(rng), _entry(rng)
+            if op == "lres" and rng.random() < P_FAR:
+                a = "far"
+            out.append((f"{op}-{i}", f"{a} | {b}",
+                        lambda f=f, a=a, b=b: f(series(a), series(b))))
+    for op, f in (("left_residual", left_residual), ("right_residual", right_residual)):
+        for i in range(CASES_PER_KIND[op]):
+            p, q, r = (rng.randint(1, 4) for _ in range(3))
+            # left: A is p x q, B p x r; right: C is p x q, A r x q.
+            num, den = (_matrix(rng, p, r), _matrix(rng, p, q)) if op == "left_residual" \
+                else (_matrix(rng, p, q), _matrix(rng, r, q))
+            if rng.random() < P_FAR:
+                den[rng.randrange(len(den))][rng.randrange(len(den[0]))] = "far"
+            args = (den, num) if op == "left_residual" else (num, den)
+            out.append((f"{op}-{i}", " | ".join(map(show, args)),
+                        lambda f=f, args=args: tuple(f(*map(matrix, args)).entries)))
     return out
 
 
 def result_text(thunk) -> str:
     try:
-        return format_series(thunk())
+        out = thunk()
     except Exception as exc:  # a refusal is a result too
         return f"{type(exc).__name__}: {exc}"
+    return " ".join(map(format_series, out)) if isinstance(out, tuple) else format_series(out)
 
 
 def digest(text: str) -> str:
