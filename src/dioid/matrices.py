@@ -66,10 +66,10 @@ Both packed kernels pack and unpack through ``_pack_rows`` and
 filled ``_PACK_BLOCK`` shifted fields at a time, wider ones through a byte
 string per field, joined a row at a time.
 
-A series product takes each entry as one sum of products, the table's
-``otimes_sum``: one event sweep over every term, not a join per term.  The
-other series kernels use one generic fold, which stops once its accumulator
-is absorbing (top for (+), eps for (^)).
+A series product takes each entry as one sum of products (``otimes_sum``),
+a series residual as one meet (``lres_meet``), which looks for an eps term,
+its absorbing element, before any sweep; the other series kernels use one
+fold, which stops once its accumulator is absorbing (top for (+), eps for (^)).
 
 Interval matrices run every kernel bound by bound, on the bound matrices
 over the base type, so interval max-plus runs the integer kernels.  The
@@ -402,8 +402,9 @@ def _packed_product(left, right: list, c: int, m: int, width: int, dual: bool) -
 
 
 def _fold(sr, left, right, term, dual: bool) -> Matrix:
-    """Entry (i, j) is the join (meet when ``dual``) over k of
-    term(left[i][k], right[j][k]), for series matrices.
+    """Entry (i, j) is the join (meet when ``dual``) over k of term(left[i][k],
+    right[j][k]), for the series dual product and dual residual; a residual
+    entry is one ``lres_meet``, which finds its eps term first.
 
     A fold stops at the join's absorbing element, top (eps for the meet):
     the terms left would not change it.
@@ -462,7 +463,8 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
         return _zmax_product(a, b, True, conj_a=True)
     if sr.kind == "interval":
         return _by_bounds(left_residual, a, b, meet_lower=True)
-    return _fold(sr, _cols(a.entries, a.cols), _cols(b.entries, b.cols), sr.lres, True)
+    cols_a, cols_b, meet = _cols(a.entries, a.cols), _cols(b.entries, b.cols), sr.lres_meet
+    return Matrix(sr, a.cols, b.cols, tuple(meet(zip(u, w)) for u in cols_a for w in cols_b))
 
 
 def right_residual(c: Matrix, a: Matrix) -> Matrix:
@@ -476,9 +478,8 @@ def right_residual(c: Matrix, a: Matrix) -> Matrix:
         return _zmax_product(c, a, True, conj_x=True)
     if sr.kind == "interval":
         return _by_bounds(right_residual, c, a, meet_lower=True)
-    lres = sr.lres
-    return _fold(sr, _rows(c.entries, c.cols), _rows(a.entries, a.cols),
-                 lambda c_ik, a_jk: lres(a_jk, c_ik), True)
+    rows_c, rows_a, meet = _rows(c.entries, c.cols), _rows(a.entries, a.cols), sr.lres_meet
+    return Matrix(sr, c.rows, a.rows, tuple(meet(zip(w, u)) for u in rows_c for w in rows_a))
 
 
 def dual_residual(a: Matrix, x: Matrix) -> Matrix:

@@ -59,12 +59,13 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import count
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from . import zmax
-from .errors import _WINDOW_CAP, ParseError, SeriesDomainError, _check_work
+from .errors import _WINDOW_CAP, DivergenceError, ParseError, SeriesDomainError, _check_work
 from .zmax import EPS, TOP, Frozen, Scalar
 
 if TYPE_CHECKING:
@@ -639,70 +640,82 @@ def _otimes_sum(pairs: Iterable[tuple[Series, Series]]) -> Series:
     most r^(dn div N), so every f^j, j >= d, is at most f^(j-d) r^(dn div N),
     and i <= N as f is not steeper.  The monomials of each pair go to the
     polynomial and to one group per period, and the whole sum is one sweep.
-    A pair with a top operand (and no eps one) makes the sum top, and the
-    pairs after it are not read.
+    A pair with a top operand (and no eps one) makes the sum top, even after
+    a pair that a check refused, and the pairs after it are not read.
     """
     poly: list = []
     groups: dict[Monomial, list] = {}
-    for a, b in pairs:
-        p1, q1, r1 = a.transient, a.pattern, a.period
-        p2, q2, r2 = b.transient, b.pattern, b.period
-        if not ((p1 or q1) and (p2 or q2)):  # an eps or top factor
-            if (p1 or q1 or a.all_top) and (p2 or q2 or b.all_top):
-                return S_TOP
-            continue
-        poly += _poly_mul(p1, p2)
-        if r1 is not None and r2 is not None:
-            q12, r, f = _poly_mul(q1, q2), r1, r2
-            if r1 != r2:
-                if r1.coeff * r2.exp < r2.coeff * r1.exp:
-                    r, f = r2, r1
-                # Checked before the copies are built: the loop's N steps,
-                # the len(q12) * i monomials, and the window (i - 1)n + 2N
-                # they reach when r is the sum's steepest period.
-                (T, N), (t, n) = (r.coeff, r.exp), (f.coeff, f.exp)
-                what = f"pattern with period exponent {N}"
-                _check_work(what, 2 * N)
-                i = 1
-                while i * t > i * n // N * T:
-                    i += 1
-                _check_work(what, max(len(q12) * i, (i - 1) * n + 2 * N))
-                q12 = [(e + j * n, c + j * t) for e, c in q12 for j in range(i)]
-            groups.setdefault(r, []).extend(q12)
-        if r2 is not None and p1:
-            groups.setdefault(r2, []).extend(_poly_mul(p1, q2))
-        if r1 is not None and p2:
-            groups.setdefault(r1, []).extend(_poly_mul(q1, p2))
+    try:
+        for a, b in pairs:
+            p1, q1, r1 = a.transient, a.pattern, a.period
+            p2, q2, r2 = b.transient, b.pattern, b.period
+            if not ((p1 or q1) and (p2 or q2)):  # an eps or top factor
+                if (p1 or q1 or a.all_top) and (p2 or q2 or b.all_top):
+                    return S_TOP
+                continue
+            poly += _poly_mul(p1, p2)
+            if r1 is not None and r2 is not None:
+                q12, r, f = _poly_mul(q1, q2), r1, r2
+                if r1 != r2:
+                    if r1.coeff * r2.exp < r2.coeff * r1.exp:
+                        r, f = r2, r1
+                    # Checked before the copies are built: the loop's N steps,
+                    # the len(q12) * i monomials, and the window (i - 1)n + 2N
+                    # they reach when r is the sum's steepest period.
+                    (T, N), (t, n) = (r.coeff, r.exp), (f.coeff, f.exp)
+                    what = f"pattern with period exponent {N}"
+                    _check_work(what, 2 * N)
+                    i = 1
+                    while i * t > i * n // N * T:
+                        i += 1
+                    _check_work(what, max(len(q12) * i, (i - 1) * n + 2 * N))
+                    q12 = [(e + j * n, c + j * t) for e, c in q12 for j in range(i)]
+                groups.setdefault(r, []).extend(q12)
+            if r2 is not None and p1:
+                groups.setdefault(r2, []).extend(_poly_mul(p1, q2))
+            if r1 is not None and p2:
+                groups.setdefault(r1, []).extend(_poly_mul(q1, p2))
+    except DivergenceError:
+        if any((a.all_top or b.all_top) and not (is_eps(a) or is_eps(b)) for a, b in pairs):
+            return S_TOP
+        raise
     return _pattern_sum(groups, poly)
 
 
 def s_lres(a: Series, b: Series) -> Series:
-    """Greatest x with a (x) x <= b."""
-    if b.all_top or not (a.transient or a.pattern or a.all_top):
-        return S_TOP  # b top or a eps
-    if not (b.transient or b.pattern) or a.all_top:
-        return S_EPS  # b eps or a top
+    """Greatest x with a (x) x <= b: the one-pair case of ``_lres_meet``."""
+    return _lres_meet(((a, b),))
+
+
+def _lres_meet(pairs: Iterable[tuple[Series, Series]]) -> Series:
+    """Meet of the residuals a \\ b over ``pairs``.  Every pair is tested
+    before any term is swept (``_lres_sweep``): a term is top, the meet's
+    unit, where b is top or a eps, and eps, which absorbs the meet, where b is
+    eps, a top, or a outgrows b (a top tail or a steeper slope, b no top tail)."""
+    pairs = [(a, b) for a, b in pairs if not b.all_top and (a.transient or a.pattern or a.all_top)]
+    for a, b in pairs:
+        (ta, na, _), (tb, nb, _) = _growth(a), _growth(b)
+        if is_eps(b) or a.all_top or not _top_tailed(b) and (_top_tailed(a) or ta * nb > tb * na):
+            return S_EPS
+    return reduce(s_wedge, (_lres_sweep(a, b) for a, b in pairs), S_TOP)
+
+
+def _lres_sweep(a: Series, b: Series) -> Series:
+    """a \\ b where neither is eps or top and a does not outgrow b."""
     if is_monomial(a) and a.transient[0].coeff is not TOP:
         # t.gn (x) x <= b iff x(j) <= b(j + n) - t: b shifted back
         return _shift_series(b, -a.transient[0].coeff, -a.transient[0].exp)
-
-    gta, gna, ra = _growth(a)
-    gtb, gnb, rb = _growth(b)
+    (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
     v = math.lcm(gna, gnb)
-    big_a = gta * (v // gna)
     big_b = gtb * (v // gnb)
-    # Neither is all-top here: a top tail is the infinite growth.
-    if not _top_tailed(b) and (_top_tailed(a) or big_a > big_b):
-        return S_EPS
-
     na0, nb0 = _min_exp(a), _min_exp(b)
     rank_x = rb - na0
     lo = nb0 - na0 - 1
     hi = rank_x + 2 * v
     k_hi = max(ra, rb - lo) + v
     # x(j) = min over k >= na0 of b(j + k) - a(k) needs the terms up to
-    # k <= max(ra, rb - j) + v: past them a period of a adds big_a and one
-    # of b big_b >= big_a.  So a's steps up to k_hi, and b's up to hi + k_hi,
+    # k <= max(ra, rb - j) + v: past them a period v adds big_b to b and no
+    # more to a.  So a's steps up to k_hi, and b's up to hi + k_hi,
     # give every term x needs on the window.  Within a run where a is
     # constant the first k gives the least term, as b does not decrease.
     ea, ca = _walk(a, k_hi)
@@ -934,6 +947,7 @@ class _GammaSemiring:
     otimes_sum = staticmethod(_otimes_sum)
     odot = staticmethod(mono_odot)
     lres = staticmethod(s_lres)
+    lres_meet = staticmethod(_lres_meet)
     dualres = staticmethod(mono_dualres)
     star = staticmethod(s_star)
     leq = staticmethod(s_leq)

@@ -575,16 +575,18 @@ class TestGenericFolds:
                 assert op(a, x).entries == expected, (name, a, x)
 
     def test_fold_stops_at_the_absorbing_element(self):
-        # The meet is eps after the first term, so the second, whose sweep
-        # of 100,000 numerator steps would pass the cap, is never computed.
+        # ramp \ far is eps, so the meet is eps and far \ one, whose sweep of
+        # 100,000 numerator steps would pass the cap, is never computed:
+        # before or after the eps term, in either residual.
         far = make_series([Monomial(i, i) for i in range(10**5)])
         ramp = make_series([], [Monomial(0, 0)], Monomial(1, 1))
         one = parse_series("0.g0")
         with pytest.raises(DivergenceError):
             GAMMA.lres(far, one)
-        a = Matrix(GAMMA, 2, 1, (ramp, far))
-        b = Matrix(GAMMA, 2, 1, (far, one))
-        assert left_residual(a, b).entries == (S_EPS,)
+        for den, num in (((ramp, far), (far, one)), ((far, ramp), (one, far))):
+            column, row = Matrix(GAMMA, 2, 1, den), Matrix(GAMMA, 1, 2, den)
+            assert left_residual(column, Matrix(GAMMA, 2, 1, num)).entries == (S_EPS,)
+            assert right_residual(Matrix(GAMMA, 1, 2, num), row).entries == (S_EPS,)
 
     def test_sum_stops_at_the_absorbing_element(self):
         # A product term with a top factor makes the entry top, so the other
@@ -596,7 +598,12 @@ class TestGenericFolds:
         one = parse_series("0.g0")
         with pytest.raises(DivergenceError):
             GAMMA.otimes(ramp, far)
-        for a, b in (((S_TOP, ramp), (one, far)), ((ramp, S_TOP), (far, one))):
+        # A product whose period check refuses, before or after the top term.
+        steep, flat = parse_series("0.g0.(1000000.g1000000)*"), parse_series("0.g0.(1.g3)*")
+        with pytest.raises(DivergenceError, match="estimated work 2000000"):
+            GAMMA.otimes(steep, flat)
+        for a, b in (((S_TOP, ramp), (one, far)), ((ramp, S_TOP), (far, one)),
+                     ((steep, S_TOP), (flat, one)), ((S_TOP, steep), (one, flat))):
             assert mat_otimes(Matrix(GAMMA, 1, 2, a), Matrix(GAMMA, 2, 1, b)).entries == (S_TOP,)
 
 
