@@ -404,10 +404,9 @@ def _packed_product(left, right: list, c: int, m: int, width: int, dual: bool) -
 def _fold(sr, left, right, term, dual: bool) -> Matrix:
     """Entry (i, j) is the join (meet when ``dual``) over k of term(left[i][k],
     right[j][k]), for the series dual product and dual residual; a residual
-    entry is one ``lres_meet``, which finds its eps term first.
-
-    A fold stops at the join's absorbing element, top (eps for the meet):
-    the terms left would not change it.
+    entry is one ``lres_meet``, which finds its eps term first.  A fold stops
+    at the join's absorbing element, top (eps for the meet): the terms left
+    would not change it.
     """
     join, unit, absorbing = (sr.wedge, sr.top, sr.eps) if dual else (sr.oplus, sr.eps, sr.top)
     out = []

@@ -688,16 +688,18 @@ def s_lres(a: Series, b: Series) -> Series:
 
 
 def _lres_meet(pairs: Iterable[tuple[Series, Series]]) -> Series:
-    """Meet of the residuals a \\ b over ``pairs``.  Every pair is tested
-    before any term is swept (``_lres_sweep``): a term is top, the meet's
-    unit, where b is top or a eps, and eps, which absorbs the meet, where b is
-    eps, a top, or a outgrows b (a top tail or a steeper slope, b no top tail)."""
-    pairs = [(a, b) for a, b in pairs if not b.all_top and (a.transient or a.pattern or a.all_top)]
+    """Meet of the residuals a \\ b over ``pairs``.  Each pair is tested first:
+    a top term (b top or a eps) is the unit and skipped, and an eps term (b eps,
+    a top, or a outgrowing b) absorbs the meet before any ``_lres_sweep``."""
+    terms = []
     for a, b in pairs:
+        if b.all_top or not (a.transient or a.pattern or a.all_top):
+            continue
         (ta, na, _), (tb, nb, _) = _growth(a), _growth(b)
         if is_eps(b) or a.all_top or not _top_tailed(b) and (_top_tailed(a) or ta * nb > tb * na):
             return S_EPS
-    return reduce(s_wedge, (_lres_sweep(a, b) for a, b in pairs), S_TOP)
+        terms.append((a, b))
+    return reduce(s_wedge, (_lres_sweep(a, b) for a, b in terms), S_TOP)
 
 
 def _lres_sweep(a: Series, b: Series) -> Series:
@@ -705,17 +707,16 @@ def _lres_sweep(a: Series, b: Series) -> Series:
     if is_monomial(a) and a.transient[0].coeff is not TOP:
         # t.gn (x) x <= b iff x(j) <= b(j + n) - t: b shifted back
         return _shift_series(b, -a.transient[0].coeff, -a.transient[0].exp)
-    (gta, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
+    (_, gna, ra), (gtb, gnb, rb) = _growth(a), _growth(b)
     v = math.lcm(gna, gnb)
-    big_b = gtb * (v // gnb)
     na0, nb0 = _min_exp(a), _min_exp(b)
     rank_x = rb - na0
     lo = nb0 - na0 - 1
     hi = rank_x + 2 * v
     k_hi = max(ra, rb - lo) + v
     # x(j) = min over k >= na0 of b(j + k) - a(k) needs the terms up to
-    # k <= max(ra, rb - j) + v: past them a period v adds big_b to b and no
-    # more to a.  So a's steps up to k_hi, and b's up to hi + k_hi,
+    # k <= max(ra, rb - j) + v: past them a period v adds no more to a than
+    # to b.  So a's steps up to k_hi, and b's up to hi + k_hi,
     # give every term x needs on the window.  Within a run where a is
     # constant the first k gives the least term, as b does not decrease.
     ea, ca = _walk(a, k_hi)
@@ -748,7 +749,7 @@ def _lres_sweep(a: Series, b: Series) -> Series:
             coeffs.append(x)
     if coeffs and coeffs[-1] == inf:
         coeffs[-1] = TOP
-    return _canonical(exps, coeffs, hi, big_b, v, rank_x)
+    return _canonical(exps, coeffs, hi, gtb * (v // gnb), v, rank_x)
 
 
 def _require_dual_left(m: Series) -> None:
