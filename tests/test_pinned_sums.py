@@ -1,5 +1,5 @@
-"""Tier-1 replay of the pinned series sums (``pinned_sums.py``): every case
-must give the result its pin was made from."""
+"""Tier-1 replay of the pinned series sums, meets and residuals
+(``pinned_sums.py``): every case must give the result its pin was made from."""
 
 from __future__ import annotations
 
